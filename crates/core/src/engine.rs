@@ -16,16 +16,26 @@
 //!   later prediction through that entry sees this feedback, the oracle
 //!   ordering of Figure 4.
 //!
-//! There is exactly one evaluation loop. It walks the flat columns of a
-//! [`PreparedTrace`] — ground-truth actuals resolved once, per-index key
-//! streams computed once — and touches the predictor table through the
-//! one-probe entry API ([`PredictorTable::update_and_predict`] and
-//! friends). The `*_prepared` entry points share an explicit
-//! `PreparedTrace` across many schemes (the sweep case); the plain entry
-//! points prepare internally per call, so a single evaluation still pays
-//! resolution exactly once.
+//! Three loops evaluate schemes, all over the flat columns of a
+//! [`PreparedTrace`] (ground-truth actuals resolved once, per-index key
+//! streams computed once) and all bit-identical to one another:
+//!
+//! * `drive` walks events in order and touches a real predictor table
+//!   through the one-probe entry API ([`PredictorTable::update_and_predict`]
+//!   and friends). It serves every function, PAs included, and per-event
+//!   predictions ([`run_scheme`], [`predictions_for`]).
+//! * `family_sweep` replays each predictor entry slot-major against a
+//!   stack-local window and scores every `union`/`inter` depth in one pass
+//!   ([`run_history_family`]), the design-space sweep's kernel.
+//! * `simd::sweep` is the same slot-major walk for one history scheme,
+//!   with batched vector popcounts ([`crate::run_scheme_simd`]).
+//!
+//! The `*_prepared` entry points share an explicit `PreparedTrace` across
+//! many schemes (the sweep case); the plain entry points prepare
+//! internally per call, so a single evaluation still pays resolution
+//! exactly once.
 
-use crate::{IndexSpec, PredictorTable, PreparedTrace, Scheme, UpdateMode};
+use crate::{IndexSpec, PredictorTable, PreparedTrace, Scheme, SlotOp, UpdateMode};
 use csp_metrics::ConfusionMatrix;
 use csp_trace::{SharingBitmap, Trace};
 
@@ -229,10 +239,9 @@ fn family_sweep<const MD: usize>(
             for slot in 0..stream.slot_count() {
                 let mut w = Window::<MD>::new();
                 for (&op, &payload) in stream.slot_ops(slot).iter().zip(stream.slot_op_data(slot)) {
-                    if op & 1 == 0 {
-                        w.push(payload);
-                    } else {
-                        acc.score(&w, payload);
+                    match op {
+                        SlotOp::Push => w.push(payload),
+                        SlotOp::Score => acc.score(&w, payload),
                     }
                 }
             }

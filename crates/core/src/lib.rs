@@ -76,7 +76,7 @@ pub use fingerprint::{
 };
 pub use function::PredictionFunction;
 pub use index::{node_bits, IndexSpec};
-pub use prepared::{KeyStream, PreparedTrace, SlotData};
+pub use prepared::{KeyStream, PreparedTrace, SlotData, SlotOp};
 pub use scheme::{ParseSchemeError, Scheme, UpdateMode};
 pub use simd::{run_scheme_simd, run_scheme_simd_with, SimdBackend};
 pub use table::{shard_of_key, EntryView, HistoryBackend, PredictorTable, TableEntry};

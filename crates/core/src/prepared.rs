@@ -11,13 +11,20 @@
 //!
 //! * [`KeyStream`] — the predictor keys (and forward keys) of every event
 //!   under one [`IndexSpec`], as flat `Vec<u64>` columns, plus the
-//!   distinct-key counts that size predictor tables up front and a dense
-//!   slot remap that lets hot loops replace hashed table probes with
-//!   array indexing;
+//!   distinct-key counts that size predictor tables up front and the
+//!   slot-major payload columns (CSR over a dense slot remap of the keys)
+//!   that let the family and SIMD kernels replay each predictor entry
+//!   without any table at all;
 //! * [`PreparedTrace`] — a [`ResolvedTrace`] (actuals / feedback /
-//!   previous-writer columns, resolved once) plus a concurrent cache of
-//!   [`KeyStream`]s keyed by [`IndexSpec`], shared by reference across
-//!   every scheme in a sweep.
+//!   previous-writer / forward-source columns, resolved once) plus a
+//!   concurrent cache of [`KeyStream`]s keyed by [`IndexSpec`], shared by
+//!   reference across every scheme in a sweep.
+//!
+//! A key-stream build hashes each event's predictor key once. Its forward
+//! key is, for every event the trace links to a forward source (see
+//! [`ResolvedTrace::forward_sources`]), the source's predictor key, so it
+//! is copied rather than hashed; only unlinked events (the first write of
+//! a line inside a window, hand-built traces) hash it.
 //!
 //! The prepared engine entry points
 //! ([`crate::engine::run_scheme_prepared`],
@@ -59,23 +66,19 @@ pub struct KeyStream {
     index: IndexSpec,
     keys: Vec<u64>,
     forward_keys: Vec<u64>,
-    slots: Vec<u32>,
-    forward_slots: Vec<u32>,
-    slot_count: usize,
     distinct_keys: usize,
     distinct_forward_keys: usize,
     slot_starts: Vec<u32>,
-    slot_events: Vec<u32>,
     slot_data: Vec<SlotData>,
     op_starts: Vec<u32>,
-    ops: Vec<u32>,
+    ops: Vec<SlotOp>,
     op_data: Vec<SharingBitmap>,
 }
 
-/// Everything the slot-major family loop needs about one event, gathered
-/// into slot order so the hot loop streams through memory instead of
+/// Everything the slot-major family loop needs about one event, laid out
+/// in slot order so the hot loop streams through memory instead of
 /// chasing event indices back into the event-order columns.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SlotData {
     /// The event's ground-truth actual bitmap (what to score, and the
     /// *ordered*-update feedback).
@@ -87,141 +90,120 @@ pub struct SlotData {
     pub has_prev: bool,
 }
 
+/// One *forwarded*-update table interaction of [`KeyStream::slot_ops`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SlotOp {
+    /// Push an event's invalidation feedback through its forward key.
+    Push,
+    /// Predict through an event's own key and score against its actual.
+    Score,
+}
+
 impl KeyStream {
-    /// Computes the key columns of `trace` under `index`: one
-    /// [`IndexSpec::key_of`] / [`IndexSpec::forward_key_of`] pass, plus
-    /// the distinct-key counts used as predictor-table capacity hints.
+    /// Computes the key columns of `trace` under `index`: resolves the
+    /// trace, then builds as [`KeyStream::compute_resolved`] does.
     ///
     /// This is the *single* key-derivation implementation in the
     /// workspace: the offline engine, the sweep planner and the online
     /// serving engine (`csp-serve`) all replay keys from here, so they
     /// cannot drift apart.
     pub fn compute(trace: &Trace, index: IndexSpec) -> Self {
-        Self::compute_with_actuals(trace, index, &trace.resolve_actuals())
+        Self::compute_resolved(&ResolvedTrace::new(trace), index)
     }
 
-    /// [`KeyStream::compute`] with the trace's actuals already resolved —
-    /// the entry point [`PreparedTrace::key_stream`] uses so that one
-    /// resolution pass serves every index of a sweep. `actuals` must be
-    /// `trace.resolve_actuals()` (one bitmap per event).
+    /// Computes the key columns of a resolved trace under `index` — the
+    /// entry point [`PreparedTrace::key_stream`] uses so that one
+    /// resolution pass serves every index of a sweep.
     ///
-    /// # Panics
-    ///
-    /// Panics if `actuals` is not one bitmap per trace event.
-    pub fn compute_with_actuals(
-        trace: &Trace,
-        index: IndexSpec,
-        actuals: &[SharingBitmap],
-    ) -> Self {
-        assert_eq!(
-            actuals.len(),
-            trace.len(),
-            "actuals must be one bitmap per event"
-        );
-        let node_bits = crate::index::node_bits(trace.nodes());
-        let mut keys = Vec::with_capacity(trace.len());
-        let mut forward_keys = Vec::with_capacity(trace.len());
-        let mut slots = Vec::with_capacity(trace.len());
-        let mut forward_slots = Vec::with_capacity(trace.len());
-        // One remap over the *union* of predictor and forward keys assigns
-        // each distinct key a dense slot id: a forwarded update and a later
-        // prediction through the same index value must land on the same
-        // entry, so both key kinds share one id space.
-        let mut remap: HashMap<u64, u32, FxBuildHasher> = HashMap::default();
-        let mut distinct_keys = 0usize;
-        // Which slots have been seen through each key kind, indexed by
-        // slot id — distinct-count bookkeeping without a second hash
-        // probe per event.
-        let mut seen_primary: Vec<bool> = Vec::new();
-        let mut seen_forward: Vec<bool> = Vec::new();
-        let mut distinct_forward = 0usize;
-        let mut has_prev = Vec::with_capacity(trace.len());
-        for event in trace.events() {
+    /// Two passes over the events. The first hashes each predictor key
+    /// once into a dense slot remap, takes each forward key from the
+    /// event's forward source (hashing [`IndexSpec::forward_key_of`] only
+    /// where there is none), and counts every slot's events and ops. The
+    /// second scatters the payloads straight into their CSR positions.
+    pub fn compute_resolved(resolved: &ResolvedTrace<'_>, index: IndexSpec) -> Self {
+        let events = resolved.trace().events();
+        let actuals = resolved.actuals();
+        let feedback = resolved.invalidated();
+        let has_prev = resolved.has_prev();
+        let sources = resolved.forward_sources();
+        let node_bits = crate::index::node_bits(resolved.nodes());
+        let n = events.len();
+        let mut keys = Vec::with_capacity(n);
+        let mut forward_keys = Vec::with_capacity(n);
+        // Event-order slot ids, only needed until the scatter below.
+        let mut slots: Vec<u32> = Vec::with_capacity(n);
+        let mut forward_slots: Vec<u32> = Vec::with_capacity(n);
+        let mut remap = SlotRemap::default();
+        for (e, event) in events.iter().enumerate() {
             let key = index.key_of(event, node_bits);
-            let next = remap.len() as u32;
-            let slot = match remap.entry(key) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(v) => {
-                    seen_primary.push(false);
-                    seen_forward.push(false);
-                    *v.insert(next)
-                }
-            };
-            if !seen_primary[slot as usize] {
-                seen_primary[slot as usize] = true;
-                distinct_keys += 1;
-            }
+            let slot = remap.intern(key);
             keys.push(key);
             slots.push(slot);
-            // Slots without a previous writer hold 0 and are never read:
-            // every consumer gates on the event's `has_prev` column.
-            match index.forward_key_of(event, node_bits) {
-                Some(fkey) => {
-                    let next = remap.len() as u32;
-                    let fslot = match remap.entry(fkey) {
-                        Entry::Occupied(e) => *e.get(),
-                        Entry::Vacant(v) => {
-                            seen_primary.push(false);
-                            seen_forward.push(false);
-                            *v.insert(next)
-                        }
-                    };
-                    if !seen_forward[fslot as usize] {
-                        seen_forward[fslot as usize] = true;
-                        distinct_forward += 1;
-                    }
-                    forward_keys.push(fkey);
-                    forward_slots.push(fslot);
-                    has_prev.push(true);
-                }
-                None => {
-                    forward_keys.push(0);
-                    forward_slots.push(0);
-                    has_prev.push(false);
-                }
+            remap.counts[slot as usize].events += 1;
+            remap.counts[slot as usize].ops += 1;
+            if !has_prev[e] {
+                // Never read: every consumer gates on `has_prev`.
+                forward_keys.push(0);
+                forward_slots.push(0);
+                continue;
             }
+            let (fkey, fslot) = match sources[e] {
+                ResolvedTrace::NO_SOURCE => {
+                    let fkey = index
+                        .forward_key_of(event, node_bits)
+                        .expect("has_prev events have a previous writer");
+                    (fkey, remap.intern(fkey))
+                }
+                src => (keys[src as usize], slots[src as usize]),
+            };
+            forward_keys.push(fkey);
+            forward_slots.push(fslot);
+            remap.counts[fslot as usize].ops += 1;
         }
-        let slot_count = remap.len();
-        let (slot_starts, slot_events) = events_by_slot(&slots, slot_count);
-        let (op_starts, ops) = ops_by_slot(&slots, &forward_slots, &has_prev, slot_count);
-        // Gather the per-event payloads into slot/op order once, so the
-        // slot-major loops stream through contiguous memory instead of
-        // scattering loads across the event-order columns for every
-        // scheme of the sweep.
-        let events = trace.events();
-        let slot_data = slot_events
-            .iter()
-            .map(|&e| {
-                let e = e as usize;
-                SlotData {
-                    actual: actuals[e],
-                    feedback: events[e].invalidated,
-                    has_prev: has_prev[e],
-                }
-            })
-            .collect();
-        let op_data = ops
-            .iter()
-            .map(|&op| {
-                let e = (op >> 1) as usize;
-                if op & 1 == 0 {
-                    events[e].invalidated
-                } else {
-                    actuals[e]
-                }
-            })
-            .collect();
+        let counts = remap.counts;
+        let distinct_keys = counts.iter().filter(|c| c.events > 0).count();
+        // A slot's ops beyond its own events' scores are forwarded pushes.
+        let distinct_forward = counts.iter().filter(|c| c.ops > c.events).count();
+        let slot_starts = prefix_sums(counts.iter().map(|c| c.events));
+        let op_starts = prefix_sums(counts.iter().map(|c| c.ops));
+        // Scatter in event order, so within a slot events stay in event
+        // order, and a forwarded event's push (through its forward slot)
+        // precedes its score (through its own) — exactly the event-order
+        // update-then-predict sequence.
+        let mut slot_cursor = slot_starts.clone();
+        let mut op_cursor = op_starts.clone();
+        let mut slot_data = vec![SlotData::default(); n];
+        // Every op starts as a score; the scatter marks the pushes.
+        let mut ops = vec![SlotOp::Score; op_starts[op_starts.len() - 1] as usize];
+        let mut op_data = vec![SharingBitmap::empty(); ops.len()];
+        let per_event = slots.iter().zip(&forward_slots).zip(has_prev);
+        for (((&s, &f), &has_prev), (&actual, &feedback)) in
+            per_event.zip(actuals.iter().zip(feedback))
+        {
+            let s = s as usize;
+            slot_data[slot_cursor[s] as usize] = SlotData {
+                actual,
+                feedback,
+                has_prev,
+            };
+            slot_cursor[s] += 1;
+            if has_prev {
+                let c = &mut op_cursor[f as usize];
+                ops[*c as usize] = SlotOp::Push;
+                op_data[*c as usize] = feedback;
+                *c += 1;
+            }
+            let c = &mut op_cursor[s];
+            op_data[*c as usize] = actual;
+            *c += 1;
+        }
         KeyStream {
             index,
             keys,
             forward_keys,
-            slots,
-            forward_slots,
-            slot_count,
             distinct_keys,
             distinct_forward_keys: distinct_forward,
             slot_starts,
-            slot_events,
             slot_data,
             op_starts,
             ops,
@@ -262,32 +244,15 @@ impl KeyStream {
         self.keys.is_empty()
     }
 
-    /// The dense slot id of every event's predictor key, in event order.
-    ///
-    /// Slot ids remap the union of predictor and forward keys onto
-    /// `0..slot_count()`: two events share a slot iff they share a key, and
-    /// a forward key equal to some predictor key shares that key's slot.
-    /// Hot loops use them to index a flat `Vec` of entries instead of
-    /// probing a hash table per event.
-    #[inline]
-    pub fn slots(&self) -> &[u32] {
-        &self.slots
-    }
-
-    /// The dense slot id of every event's forward key. Meaningful only
-    /// where the event has a previous writer (like
-    /// [`KeyStream::forward_keys`]); other slots hold 0 and are never read.
-    #[inline]
-    pub fn forward_slots(&self) -> &[u32] {
-        &self.forward_slots
-    }
-
     /// Number of dense slots: the distinct keys in the union of the
-    /// predictor and forward key columns — the length of the flat entry
-    /// table the slot columns index.
+    /// predictor and forward key columns. Two events share a slot iff
+    /// they share a key, and a forward key equal to some predictor key
+    /// shares that key's slot; each slot is one predictor-table entry.
+    /// Slot ids number the keys in order of first appearance, an event's
+    /// predictor key before its forward key.
     #[inline]
     pub fn slot_count(&self) -> usize {
-        self.slot_count
+        self.slot_starts.len() - 1
     }
 
     /// Number of distinct predictor keys the trace consults — the entry
@@ -305,34 +270,24 @@ impl KeyStream {
         self.distinct_forward_keys
     }
 
-    /// The events of `slot`, in event order — the slot-major view of the
-    /// stream. An event's predictor-table interactions touch only its own
-    /// slot's entry (for `direct`/`ordered` updates), so a loop over
-    /// slots that replays each slot's events against one *local* entry
-    /// visits exactly the entry states the event-order loop would, with
-    /// the entry register-resident instead of randomly probed.
-    #[inline]
-    pub fn slot_events(&self, slot: usize) -> &[u32] {
-        &self.slot_events[self.slot_starts[slot] as usize..self.slot_starts[slot + 1] as usize]
-    }
-
-    /// The payloads of [`KeyStream::slot_events`] — actual, feedback and
-    /// previous-writer flag of each of `slot`'s events, in event order,
-    /// pre-gathered so the slot-major loop reads contiguously.
+    /// The actual, feedback and previous-writer flag of each event whose
+    /// predictor key maps to `slot`, in event order — the slot-major view
+    /// of the stream. An event's predictor-table interactions touch only
+    /// its own slot's entry (for `direct`/`ordered` updates), so a loop
+    /// over slots that replays each slot's events against one *local*
+    /// entry visits exactly the entry states the event-order loop would,
+    /// with the entry register-resident instead of randomly probed.
     #[inline]
     pub fn slot_data(&self, slot: usize) -> &[SlotData] {
         &self.slot_data[self.slot_starts[slot] as usize..self.slot_starts[slot + 1] as usize]
     }
 
     /// The table interactions targeting `slot` under *forwarded* update,
-    /// in event order: `op >> 1` is the event index, and the low bit
-    /// distinguishes a feedback push through the event's forward key
-    /// (`0`) from a prediction/score through its predictor key (`1`). A
-    /// forwarded event touches up to two slots (update via forward key,
-    /// predict via its own), so the slot-major view needs this merged
-    /// sequence rather than [`KeyStream::slot_events`].
+    /// in event order. A forwarded event touches up to two slots (a push
+    /// via its forward key, a score via its own), so the slot-major view
+    /// needs this merged sequence rather than [`KeyStream::slot_data`].
     #[inline]
-    pub fn slot_ops(&self, slot: usize) -> &[u32] {
+    pub fn slot_ops(&self, slot: usize) -> &[SlotOp] {
         &self.ops[self.op_starts[slot] as usize..self.op_starts[slot + 1] as usize]
     }
 
@@ -344,61 +299,52 @@ impl KeyStream {
     }
 }
 
-/// CSR layout of event indices grouped by slot, preserving event order
-/// within each slot.
-fn events_by_slot(slots: &[u32], slot_count: usize) -> (Vec<u32>, Vec<u32>) {
-    let mut starts = vec![0u32; slot_count + 1];
-    for &s in slots {
-        starts[s as usize + 1] += 1;
-    }
-    for i in 0..slot_count {
-        starts[i + 1] += starts[i];
-    }
-    let mut cursor = starts.clone();
-    let mut events = vec![0u32; slots.len()];
-    for (e, &s) in slots.iter().enumerate() {
-        let c = &mut cursor[s as usize];
-        events[*c as usize] = e as u32;
-        *c += 1;
-    }
-    (starts, events)
+/// Dense slot ids over the union of a stream's predictor and forward
+/// keys, plus the per-slot counts its CSR columns are sized from. Both
+/// key kinds share one id space: a forwarded update and a later
+/// prediction through the same index value must land on the same entry.
+#[derive(Default)]
+struct SlotRemap {
+    ids: HashMap<u64, u32, FxBuildHasher>,
+    counts: Vec<SlotCounts>,
 }
 
-/// CSR layout of forwarded-update table interactions grouped by target
-/// slot: for each event, a push op through its forward slot (where it has
-/// a previous writer) followed by a score op through its own slot. The
-/// scatter walks events in order, so within a slot ops stay in event
-/// order and a same-event push precedes its score — exactly the
-/// event-order update-then-predict sequence.
-fn ops_by_slot(
-    slots: &[u32],
-    forward_slots: &[u32],
-    has_prev: &[bool],
-    slot_count: usize,
-) -> (Vec<u32>, Vec<u32>) {
-    let mut starts = vec![0u32; slot_count + 1];
-    for e in 0..slots.len() {
-        if has_prev[e] {
-            starts[forward_slots[e] as usize + 1] += 1;
+/// What one slot holds, counted while the slot ids are assigned.
+#[derive(Clone, Copy, Default)]
+struct SlotCounts {
+    /// Events whose predictor key maps here.
+    events: u32,
+    /// Forwarded-update ops targeting the slot: one score per event
+    /// above, plus one push per event whose forward key maps here.
+    ops: u32,
+}
+
+impl SlotRemap {
+    /// The slot id of `key`, assigning the next id on first sight.
+    #[inline]
+    fn intern(&mut self, key: u64) -> u32 {
+        let next = self.counts.len() as u32;
+        match self.ids.entry(key) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(v) => {
+                self.counts.push(SlotCounts::default());
+                *v.insert(next)
+            }
         }
-        starts[slots[e] as usize + 1] += 1;
     }
-    for i in 0..slot_count {
-        starts[i + 1] += starts[i];
+}
+
+/// CSR offsets of per-slot `counts`: `starts[s]..starts[s + 1]` is slot
+/// `s`'s range.
+fn prefix_sums(counts: impl ExactSizeIterator<Item = u32>) -> Vec<u32> {
+    let mut starts = Vec::with_capacity(counts.len() + 1);
+    let mut total = 0u32;
+    starts.push(0);
+    for c in counts {
+        total += c;
+        starts.push(total);
     }
-    let mut cursor = starts.clone();
-    let mut ops = vec![0u32; starts[slot_count] as usize];
-    for e in 0..slots.len() {
-        if has_prev[e] {
-            let c = &mut cursor[forward_slots[e] as usize];
-            ops[*c as usize] = (e as u32) << 1;
-            *c += 1;
-        }
-        let c = &mut cursor[slots[e] as usize];
-        ops[*c as usize] = ((e as u32) << 1) | 1;
-        *c += 1;
-    }
-    (starts, ops)
+    starts
 }
 
 /// A trace prepared for repeated evaluation: ground truth resolved once,
@@ -510,11 +456,7 @@ impl<'t> PreparedTrace<'t> {
         // Compute outside the lock: a long build must not serialize other
         // indexes' lookups. Two threads racing on the same index both
         // compute; the first insert wins and both results are identical.
-        let computed = Arc::new(KeyStream::compute_with_actuals(
-            self.trace(),
-            index,
-            self.actuals(),
-        ));
+        let computed = Arc::new(KeyStream::compute_resolved(&self.resolved, index));
         let mut cache = self.streams.lock().expect("key-stream cache poisoned");
         // Bound the cache: a full design-space sweep visits hundreds of
         // indexes, and an unbounded cache would hold every one of their

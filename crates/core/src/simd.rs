@@ -38,7 +38,7 @@
 
 #![allow(unsafe_code)]
 
-use crate::{KeyStream, PredictionFunction, PreparedTrace, Scheme, UpdateMode, MAX_DEPTH};
+use crate::{KeyStream, PredictionFunction, PreparedTrace, Scheme, SlotOp, UpdateMode, MAX_DEPTH};
 use csp_metrics::ConfusionMatrix;
 
 /// Which accumulation path [`run_scheme_simd`] uses.
@@ -270,10 +270,9 @@ fn sweep<const D: usize, F: Fold>(
                 }
                 let mut w = BitWindow::<D>::new();
                 for (&op, &payload) in stream.slot_ops(slot).iter().zip(stream.slot_op_data(slot)) {
-                    if op & 1 == 0 {
-                        w.push(payload.bits());
-                    } else {
-                        acc.push(F::fold(&w), payload.bits());
+                    match op {
+                        SlotOp::Push => w.push(payload.bits()),
+                        SlotOp::Score => acc.push(F::fold(&w), payload.bits()),
                     }
                 }
             }

@@ -124,8 +124,12 @@ impl<T: CheckpointPayload> SweepCheckpoint<T> {
 
         let (completed, good_len) = parse_log::<T>(&bytes, fingerprint);
         if completed.is_empty() && good_len == 0 {
-            // Fresh, stale or unusable: restart the log.
+            // Fresh, stale or unusable: restart the log. The read left the
+            // cursor at the old end; rewind so the header lands at offset
+            // 0 instead of after a zero-filled hole.
             file.set_len(0).map_err(|e| HarnessError::io(path, e))?;
+            file.seek(SeekFrom::Start(0))
+                .map_err(|e| HarnessError::io(path, e))?;
             write_header::<T>(&mut file, fingerprint).map_err(|e| HarnessError::io(path, e))?;
         } else if (good_len as u64) < bytes.len() as u64 {
             // Torn tail: drop it, keep the good prefix.
@@ -488,8 +492,16 @@ mod tests {
             let (mut ckpt, _) = SweepCheckpoint::<SchemeStats>::open(&path, 1).unwrap();
             ckpt.record(0, &sample_stats(1)).unwrap();
         }
+        {
+            let (mut ckpt, done) = SweepCheckpoint::<SchemeStats>::open(&path, 2).unwrap();
+            assert!(done.is_empty(), "stale checkpoint must not resume");
+            ckpt.record(3, &sample_stats(2)).unwrap();
+        }
+        // The restarted log is itself resumable.
         let (_, done) = SweepCheckpoint::<SchemeStats>::open(&path, 2).unwrap();
-        assert!(done.is_empty(), "stale checkpoint must not resume");
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].0, 3);
+        assert_same(&done[0].1, &sample_stats(2));
         let _ = std::fs::remove_file(&path);
     }
 

@@ -3,10 +3,10 @@
 use crate::render::{rate, table};
 use crate::runner::{sweep_families, SchemeStats, Suite};
 use crate::space::DesignSpace;
-use csp_core::{PredictionFunction, UpdateMode};
+use csp_core::UpdateMode;
 
 /// The four ranked tables produced by one design-space sweep.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TopTables {
     /// Table 8: top-10 PVP, direct update.
     pub table8: String,
@@ -23,14 +23,17 @@ pub struct TopTables {
 /// and ranks the results by PVP and by sensitivity.
 ///
 /// The sweep evaluates all depths of both families in one pass per
-/// `(index, update, benchmark)` cell, in parallel.
+/// `(index, update, benchmark)` cell, in parallel, over only the indexes
+/// that host an in-budget scheme ([`DesignSpace::index_specs_in_budget`]).
 pub fn top_tables(suite: &Suite) -> TopTables {
     top_tables_inner(suite, None).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`top_tables`] with a resumable checkpoint: the expensive family sweep
 /// persists completed cells to `checkpoint` and a restarted run resumes
-/// from it with bitwise-identical tables.
+/// from it with bitwise-identical tables. The checkpoint is keyed by the
+/// swept grid, so a file written over a different grid (such as the
+/// unpruned 324-index one) starts fresh instead of resuming.
 ///
 /// # Errors
 ///
@@ -49,62 +52,49 @@ fn top_tables_inner(
 ) -> Result<TopTables, crate::error::HarnessError> {
     let space = DesignSpace::paper();
     let max_depth = *space.depths.iter().max().expect("non-empty depths");
+    let indexes = space.index_specs_in_budget();
     let cells = match checkpoint {
-        None => sweep_families(suite, &space.index_specs(), &space.updates, max_depth),
+        None => sweep_families(suite, &indexes, &space.updates, max_depth),
         Some(path) => crate::runner::sweep_families_checkpointed(
             suite,
-            &space.index_specs(),
+            &indexes,
             &space.updates,
             max_depth,
             path,
         )?
         .into_complete()?,
     };
+    Ok(rank_tables(&space.in_budget_stats(&cells)))
+}
 
-    // Materialize stats for every in-budget scheme. Depth 1 of inter
-    // duplicates depth 1 of union (both are `last`); keep only the union
-    // copy to avoid listing the same predictor twice.
-    let mut all: Vec<SchemeStats> = Vec::new();
-    for cell in &cells {
-        for &f in &space.functions {
-            for &d in &space.depths {
-                if f == PredictionFunction::Inter && d == 1 {
-                    continue;
-                }
-                let stats = cell.stats(f, d);
-                if stats.size_log2() <= space.max_size_log2 {
-                    all.push(stats);
-                }
-            }
-        }
-    }
-
-    Ok(TopTables {
+/// Ranks the in-budget schemes of a sweep into Tables 8–11.
+fn rank_tables(all: &[SchemeStats]) -> TopTables {
+    TopTables {
         table8: ranked(
-            &all,
+            all,
             UpdateMode::Direct,
             RankBy::Pvp,
             "Table 8: top 10 PVP, direct update",
         ),
         table9: ranked(
-            &all,
+            all,
             UpdateMode::Forwarded,
             RankBy::Pvp,
             "Table 9: top 10 PVP, forwarded update",
         ),
         table10: ranked(
-            &all,
+            all,
             UpdateMode::Direct,
             RankBy::Sensitivity,
             "Table 10: top 10 sensitivity, direct update",
         ),
         table11: ranked(
-            &all,
+            all,
             UpdateMode::Forwarded,
             RankBy::Sensitivity,
             "Table 11: top 10 sensitivity, forwarded update",
         ),
-    })
+    }
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -173,6 +163,18 @@ mod tests {
             t.table10.contains("union("),
             "table 10 should be union-dominated:\n{}",
             t.table10
+        );
+    }
+
+    #[test]
+    fn pruned_search_ranks_like_the_full_grid() {
+        let suite = Suite::generate(0.02, 5);
+        let space = DesignSpace::paper();
+        let full = sweep_families(&suite, &space.index_specs(), &space.updates, 4);
+        assert_eq!(full.len(), 324 * 2);
+        assert_eq!(
+            top_tables(&suite),
+            rank_tables(&space.in_budget_stats(&full))
         );
     }
 }

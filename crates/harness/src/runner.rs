@@ -999,39 +999,33 @@ pub fn dump_sweep_tsv<W: std::io::Write>(suite: &Suite, mut w: W) -> std::io::Re
     use crate::space::DesignSpace;
     let space = DesignSpace::paper();
     let max_depth = *space.depths.iter().max().expect("non-empty depths");
-    let cells = sweep_families(suite, &space.index_specs(), &space.updates, max_depth);
+    let cells = sweep_families(
+        suite,
+        &space.index_specs_in_budget(),
+        &space.updates,
+        max_depth,
+    );
 
     write!(w, "scheme\tsize\tprev\tpvp\tsens")?;
     for b in Benchmark::ALL {
         write!(w, "\t{b}_pvp\t{b}_sens")?;
     }
     writeln!(w)?;
-    for cell in &cells {
-        for &f in &space.functions {
-            for &d in &space.depths {
-                if f == PredictionFunction::Inter && d == 1 {
-                    continue; // identical to union depth 1 (`last`)
-                }
-                let stats = cell.stats(f, d);
-                if stats.size_log2() > space.max_size_log2 {
-                    continue;
-                }
-                write!(
-                    w,
-                    "{}\t{}\t{:.4}\t{:.4}\t{:.4}",
-                    stats.scheme,
-                    stats.size_log2(),
-                    stats.mean.prevalence,
-                    stats.mean.pvp,
-                    stats.mean.sensitivity
-                )?;
-                for i in 0..Benchmark::ALL.len() {
-                    let s = stats.screening_for(i);
-                    write!(w, "\t{:.4}\t{:.4}", s.pvp, s.sensitivity)?;
-                }
-                writeln!(w)?;
-            }
+    for stats in space.in_budget_stats(&cells) {
+        write!(
+            w,
+            "{}\t{}\t{:.4}\t{:.4}\t{:.4}",
+            stats.scheme,
+            stats.size_log2(),
+            stats.mean.prevalence,
+            stats.mean.pvp,
+            stats.mean.sensitivity
+        )?;
+        for i in 0..Benchmark::ALL.len() {
+            let s = stats.screening_for(i);
+            write!(w, "\t{:.4}\t{:.4}", s.pvp, s.sensitivity)?;
         }
+        writeln!(w)?;
     }
     Ok(())
 }

@@ -6,6 +6,7 @@
 //! combination of prediction function, history depth, index fields with
 //! even bit budgets, and update mode, filtered by the cost model.
 
+use crate::runner::{FamilyCell, SchemeStats};
 use csp_core::{IndexSpec, PredictionFunction, Scheme, UpdateMode};
 
 /// Parameters of a design-space enumeration.
@@ -72,6 +73,39 @@ impl DesignSpace {
                 for &pc in &self.pc_bits {
                     for &addr in &self.addr_bits {
                         out.push(IndexSpec::new(pid, pc, dir, addr));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The indexes of [`DesignSpace::index_specs`] that host at least one
+    /// scheme of [`DesignSpace::schemes`], in the same order — the only
+    /// indexes a budget-capped search needs to evaluate.
+    pub fn index_specs_in_budget(&self) -> Vec<IndexSpec> {
+        // `schemes()` is grouped by index in `index_specs()` order.
+        let mut out: Vec<IndexSpec> = self.schemes().iter().map(|s| s.index).collect();
+        out.dedup();
+        out
+    }
+
+    /// The in-budget schemes of a family sweep over this space, as stats,
+    /// in sweep order: each cell's functions × depths, dropping schemes
+    /// over [`DesignSpace::max_size_log2`]. Depth 1 of `inter` duplicates
+    /// depth 1 of `union` (both are `last`), so only the `union` copy is
+    /// kept and no predictor is listed twice.
+    pub fn in_budget_stats(&self, cells: &[FamilyCell]) -> Vec<SchemeStats> {
+        let mut out = Vec::new();
+        for cell in cells {
+            for &f in &self.functions {
+                for &d in &self.depths {
+                    if f == PredictionFunction::Inter && d == 1 {
+                        continue;
+                    }
+                    let stats = cell.stats(f, d);
+                    if stats.size_log2() <= self.max_size_log2 {
+                        out.push(stats);
                     }
                 }
             }
@@ -173,6 +207,22 @@ mod tests {
         ] {
             let target: Scheme = name.parse().unwrap();
             assert!(schemes.contains(&target), "{name} missing from space");
+        }
+    }
+
+    #[test]
+    fn paper_grid_prunes_to_indexes_of_at_most_20_bits() {
+        let space = DesignSpace::paper();
+        let all = space.index_specs();
+        let pruned = space.index_specs_in_budget();
+        assert_eq!(all.len(), 324);
+        assert_eq!(pruned.len(), 178);
+        // A depth-1 scheme costs 2^(bits + 4) bits on 16 nodes.
+        let kept: Vec<IndexSpec> = all.into_iter().filter(|ix| ix.bits(16) <= 20).collect();
+        assert_eq!(pruned, kept);
+        // Every in-budget scheme lives on a kept index.
+        for s in space.schemes() {
+            assert!(pruned.contains(&s.index), "{s} lost by pruning");
         }
     }
 

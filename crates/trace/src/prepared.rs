@@ -11,6 +11,12 @@
 //! the three columns out as flat, cache-friendly vectors that any number
 //! of scheme evaluations can then share by reference.
 //!
+//! The same per-line pass also yields each event's *forward source*: the
+//! previous event on its line, when that event's writer, pc and home are
+//! the ones the event names as its previous writer. Every index key of the
+//! source is then the event's forward key, so key-stream builds copy it
+//! instead of hashing it again.
+//!
 //! The predictor-level half (per-index key streams) lives in `csp-core`,
 //! which knows about index specifications; this module is deliberately
 //! free of predictor concepts.
@@ -43,12 +49,33 @@ pub struct ResolvedTrace<'t> {
     actuals: Vec<SharingBitmap>,
     invalidated: Vec<SharingBitmap>,
     has_prev: Vec<bool>,
+    forward_sources: Vec<u32>,
 }
 
 impl<'t> ResolvedTrace<'t> {
+    /// The [`ResolvedTrace::forward_sources`] entry of an event with no
+    /// forward source.
+    pub const NO_SOURCE: u32 = u32::MAX;
+
     /// Resolves `trace` once: one actuals pass plus one flattening pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace has `u32::MAX` events or more (forward sources
+    /// are stored as `u32` event indices).
     pub fn new(trace: &'t Trace) -> Self {
-        let actuals = trace.resolve_actuals();
+        assert!(
+            trace.len() < Self::NO_SOURCE as usize,
+            "trace too long for u32 event indices"
+        );
+        let events = trace.events();
+        let mut forward_sources = vec![Self::NO_SOURCE; trace.len()];
+        let actuals = trace.resolve_actuals_linked(|prev, next| {
+            let (p, e) = (&events[prev], &events[next]);
+            if e.prev_writer == Some((p.writer, p.pc)) && e.home == p.home {
+                forward_sources[next] = prev as u32;
+            }
+        });
         let mut invalidated = Vec::with_capacity(trace.len());
         let mut has_prev = Vec::with_capacity(trace.len());
         for event in trace.events() {
@@ -60,6 +87,7 @@ impl<'t> ResolvedTrace<'t> {
             actuals,
             invalidated,
             has_prev,
+            forward_sources,
         }
     }
 
@@ -106,6 +134,19 @@ impl<'t> ResolvedTrace<'t> {
     pub fn has_prev(&self) -> &[bool] {
         &self.has_prev
     }
+
+    /// The forward source of every event, in event order: the index of
+    /// the previous event on the same line when its `(writer, pc)` is the
+    /// event's `prev_writer` and its home is the event's home, else
+    /// [`ResolvedTrace::NO_SOURCE`]. The source's fields are exactly the
+    /// ones the event's forward key packs, so under every index its key
+    /// *is* the event's forward key. Traces built by the simulator link
+    /// every event that has a previous writer; windowed, filtered or
+    /// hand-built traces may not.
+    #[inline]
+    pub fn forward_sources(&self) -> &[u32] {
+        &self.forward_sources
+    }
 }
 
 #[cfg(test)]
@@ -150,6 +191,41 @@ mod tests {
     }
 
     #[test]
+    fn forward_sources_link_only_matching_previous_writers() {
+        let mut trace = sample_trace();
+        // Names a previous writer that is not the line's last writer.
+        trace.push(SharingEvent::new(
+            NodeId(2),
+            Pc(3),
+            LineAddr(10),
+            NodeId(2),
+            SharingBitmap::empty(),
+            Some((NodeId(0), Pc(1))),
+        ));
+        // Matches the last writer's (writer, pc) but not its home.
+        trace.push(SharingEvent::new(
+            NodeId(3),
+            Pc(4),
+            LineAddr(10),
+            NodeId(5),
+            SharingBitmap::empty(),
+            Some((NodeId(2), Pc(3))),
+        ));
+        // An orphan: a previous writer but no earlier event on the line.
+        trace.push(SharingEvent::new(
+            NodeId(4),
+            Pc(5),
+            LineAddr(11),
+            NodeId(1),
+            SharingBitmap::empty(),
+            Some((NodeId(6), Pc(7))),
+        ));
+        let r = ResolvedTrace::new(&trace);
+        let none = ResolvedTrace::NO_SOURCE;
+        assert_eq!(r.forward_sources(), &[none, 0, none, none, none]);
+    }
+
+    #[test]
     fn empty_trace_resolves_to_empty_columns() {
         let trace = Trace::new(4);
         let r = ResolvedTrace::new(&trace);
@@ -158,5 +234,6 @@ mod tests {
         assert!(r.actuals().is_empty());
         assert!(r.invalidated().is_empty());
         assert!(r.has_prev().is_empty());
+        assert!(r.forward_sources().is_empty());
     }
 }

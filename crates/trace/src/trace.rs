@@ -122,12 +122,24 @@ impl Trace {
     ///
     /// The returned vector is parallel to [`events`](Self::events).
     pub fn resolve_actuals(&self) -> Vec<SharingBitmap> {
+        self.resolve_actuals_linked(|_, _| {})
+    }
+
+    /// [`resolve_actuals`](Self::resolve_actuals), also reporting every
+    /// same-line link the pass walks: `link(prev, next)` is called once
+    /// per event `next` that has an earlier event on its line, with `prev`
+    /// the latest such event.
+    pub(crate) fn resolve_actuals_linked(
+        &self,
+        mut link: impl FnMut(usize, usize),
+    ) -> Vec<SharingBitmap> {
         let mut actuals = vec![SharingBitmap::empty(); self.events.len()];
         // Index of the most recent event per line, waiting for its actual.
         let mut open: HashMap<LineAddr, usize> = HashMap::new();
         for (i, e) in self.events.iter().enumerate() {
             if let Some(prev) = open.insert(e.line, i) {
                 actuals[prev] = e.invalidated.without(self.events[prev].writer);
+                link(prev, i);
             }
         }
         for (line, idx) in open {

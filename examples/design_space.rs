@@ -12,19 +12,8 @@ use csp::harness::SchemeStats;
 fn main() {
     let suite = Suite::generate(0.1, 7);
     let space = DesignSpace::small();
-    let cells = sweep_families(&suite, &space.index_specs(), &space.updates, 4);
-
-    let mut all: Vec<SchemeStats> = Vec::new();
-    for cell in &cells {
-        for &f in &space.functions {
-            for &d in &space.depths {
-                let stats = cell.stats(f, d);
-                if stats.size_log2() <= space.max_size_log2 {
-                    all.push(stats);
-                }
-            }
-        }
-    }
+    let cells = sweep_families(&suite, &space.index_specs_in_budget(), &space.updates, 4);
+    let all = space.in_budget_stats(&cells);
     println!("evaluated {} schemes over 7 benchmarks\n", all.len());
 
     // Pareto frontier on (sensitivity, pvp), cost as tie-breaker.
