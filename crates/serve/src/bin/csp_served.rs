@@ -1359,8 +1359,9 @@ fn cmd_spans(args: &[String]) -> Result<ExitCode, CliError> {
         return Err(usage_err("spans takes exactly one <FILE>"));
     };
     let file = File::open(path).map_err(|e| rt(format!("open {path}: {e}")))?;
-    let lines =
-        csp_obs::read_dump(BufReader::new(file)).map_err(|e| rt(format!("read {path}: {e}")))?;
+    let lines = csp_obs::read_dump(BufReader::new(file))
+        .map_err(|e| rt(format!("read {path}: {e}")))?
+        .lines;
     for line in &lines {
         println!("{line}");
     }

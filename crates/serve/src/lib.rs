@@ -28,7 +28,7 @@
 //!   carry read/write deadlines and per-connection error budgets
 //!   ([`ServerOptions`]), and [`ShutdownHandle`] drains the server
 //!   gracefully so a final snapshot can be taken.
-//! * [`bench`] — a load generator reporting queries/sec and p50/p99
+//! * [`bench`](mod@bench) — a load generator reporting queries/sec and p50/p99
 //!   latency against a running server.
 //! * [`replication`] — leader/follower replication: a totally-ordered,
 //!   journal-durable operation log on the leader, snapshot-bootstrapped

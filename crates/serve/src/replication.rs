@@ -66,6 +66,7 @@ use crate::snapshot::EngineState;
 use crate::wire::{self, Request, Response, SegmentFrame};
 use csp_core::{PreparedTrace, Scheme};
 use csp_obs::Registry;
+use csp_trace::frame::Corrupt;
 use csp_trace::journal::{read_journal, JournalHeader, SegmentWriter};
 use csp_trace::{crc32c, SharingBitmap};
 use std::collections::{HashMap, VecDeque};
@@ -799,12 +800,14 @@ impl JournalStore {
     /// Replays every retained journal file into one contiguous operation
     /// list, verifying fingerprints, file continuity, and segment
     /// checksums. A torn tail on the *newest* file is tolerated (the
-    /// crash the journal exists for); damage anywhere else is an error.
+    /// crash the journal exists for); a torn tail anywhere else, and a
+    /// damaged segment anywhere, is an error.
     ///
     /// # Errors
     ///
     /// [`ServeError::Replication`] on foreign fingerprints, offset gaps,
-    /// or mid-history damage; [`ServeError::Io`] on transport failures.
+    /// or damage (naming the file and byte offset of a damaged segment);
+    /// [`ServeError::Io`] on transport failures.
     pub fn recover_all(&self) -> Result<Recovered, ServeError> {
         let files = self.list()?;
         let Some(&(base, _)) = files.first() else {
@@ -825,7 +828,12 @@ impl JournalStore {
             }
             let file = File::open(path).map_err(|e| ServeError::io(path, e))?;
             let contents =
-                read_journal(BufReader::new(file)).map_err(|e| ServeError::io(path, e))?;
+                read_journal(BufReader::new(file)).map_err(|e| match Corrupt::of(&e) {
+                    Some(c) => ServeError::Replication {
+                        detail: format!("{}: {c}; refusing to recover past it", path.display()),
+                    },
+                    None => ServeError::io(path, e),
+                })?;
             if contents.header.fingerprint != self.fingerprint {
                 return Err(ServeError::Replication {
                     detail: format!(
@@ -1530,6 +1538,39 @@ mod tests {
         // The last 10-op segment is gone; the first 20 survive intact.
         assert_eq!(recovered.head(), 20);
         assert_eq!(recovered.ops, batch[..20]);
+    }
+
+    #[test]
+    fn corrupt_segment_in_the_newest_journal_is_refused_not_dropped() {
+        let dir = TempDir::new("corrupt");
+        let batch = ops(13, 30);
+        let store = JournalStore::open(dir.path(), 7).unwrap();
+        let log = ReplicationLog::durable(store, &Recovered::default()).unwrap();
+        for chunk in batch.chunks(10) {
+            log.append_with(chunk, || ()).unwrap();
+        }
+        drop(log);
+        // Flip one byte inside segment 1 of the newest (only) file. A
+        // segment is `count | len | 10 ops | crc` after a 32-byte header.
+        let store = JournalStore::open(dir.path(), 7).unwrap();
+        let (_, path) = store.list().unwrap().pop().unwrap();
+        let segment_1 = 32 + (8 + 10 * REPL_OP_LEN + 4);
+        let hurt = Mutation::Flip {
+            offset: segment_1 + 8 + 5,
+            xor: 0x01,
+        }
+        .apply(&fs::read(&path).unwrap());
+        fs::write(&path, hurt).unwrap();
+        match store.recover_all() {
+            Err(ServeError::Replication { detail }) => {
+                assert!(detail.contains(&path.display().to_string()), "{detail}");
+                assert!(
+                    detail.contains(&format!("byte offset {segment_1}")),
+                    "{detail}"
+                );
+            }
+            other => panic!("corruption must be refused, got {other:?}"),
+        }
     }
 
     #[test]

@@ -392,7 +392,7 @@ impl SnapshotStore {
 
     /// Writes `state` durably (tmp sibling + fsync + rename, so a crash
     /// mid-write never damages an existing snapshot) and prunes all but
-    /// the newest [`RETAIN`] files. Returns the written path.
+    /// the newest `RETAIN` (2) files. Returns the written path.
     ///
     /// # Errors
     ///

@@ -35,10 +35,10 @@
 //!
 //! # Read semantics
 //!
-//! A truncated final segment — the normal result of a crash or kill-9
-//! mid-record — is discarded and reported via [`AuditLog::torn`]; every
-//! fully-checksummed prefix remains verifiable. A checksum mismatch in
-//! the *middle* of the file is corruption, not truncation, and fails the
+//! Under the [`crate::frame`] policy, a truncated final segment — the
+//! normal result of a crash or kill-9 mid-record — is discarded and
+//! reported via [`AuditLog::torn`]; every whole prefix remains
+//! verifiable. A damaged segment anywhere is corruption and fails the
 //! read with [`std::io::ErrorKind::InvalidData`].
 //!
 //! # Example
@@ -66,11 +66,15 @@
 //! # }
 //! ```
 
-use crate::io::{ChecksumReader, ChecksumWriter};
+use crate::frame::{self, Head};
+use crate::io::ChecksumWriter;
 use crate::SharingBitmap;
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 8] = b"CSPAUD1\n";
+
+/// Header bytes: magic, fingerprint, shards, sample, header CRC.
+const HEADER_LEN: usize = 8 + 4 + 2 + 4 + 4;
 
 /// Encoded size of one [`AuditRecord`].
 pub const RECORD_LEN: usize = 42;
@@ -79,6 +83,18 @@ pub const RECORD_LEN: usize = 42;
 /// bytes-at-risk window on a torn tail and the allocation a hostile
 /// `count` field can demand.
 pub const MAX_AUDIT_SEGMENT: usize = 16 * 1024;
+
+/// Segment head: the record count, `1..=MAX_AUDIT_SEGMENT`.
+const SEGMENT_HEAD: Head = Head {
+    what: "audit segment",
+    len: 4,
+    body_len: |h| {
+        let count = u32::from_le_bytes([h[0], h[1], h[2], h[3]]) as usize;
+        (1..=MAX_AUDIT_SEGMENT)
+            .contains(&count)
+            .then_some(count * RECORD_LEN)
+    },
+};
 
 /// One audited decision, in canonical fixed layout.
 ///
@@ -160,13 +176,11 @@ pub struct AuditHeader {
 pub fn frame_segments(records: &[AuditRecord], out: &mut Vec<u8>) {
     out.reserve(records.len() * RECORD_LEN + 8 * records.len().div_ceil(MAX_AUDIT_SEGMENT).max(1));
     for chunk in records.chunks(MAX_AUDIT_SEGMENT) {
-        let start = out.len();
-        out.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
-        for r in chunk {
-            out.extend_from_slice(&r.encode());
-        }
-        let crc = crate::crc32c::checksum(&out[start..]);
-        out.extend_from_slice(&crc.to_le_bytes());
+        frame::append(out, &(chunk.len() as u32).to_le_bytes(), |body| {
+            for r in chunk {
+                body.extend_from_slice(&r.encode());
+            }
+        });
     }
 }
 
@@ -259,8 +273,8 @@ pub struct AuditLog {
     pub torn: bool,
 }
 
-/// Reads an audit log, tolerating a torn tail but rejecting mid-file
-/// corruption.
+/// Reads an audit log under the [`crate::frame`] policy: a torn tail
+/// is tolerated, a damaged segment anywhere is rejected.
 ///
 /// When `expected_fingerprint` is given, a header fingerprint mismatch
 /// is rejected before any records are read — the log was recorded by an
@@ -268,27 +282,28 @@ pub struct AuditLog {
 ///
 /// # Errors
 ///
-/// [`std::io::ErrorKind::InvalidData`] on a bad magic, a fingerprint
-/// mismatch, a zero shard count, a hostile segment count, or any
-/// checksum mismatch other than a truncated final segment; other I/O
+/// [`std::io::ErrorKind::InvalidData`] on a bad magic or header
+/// checksum, a fingerprint mismatch, a zero shard count, or a damaged
+/// segment (a checksum mismatch or a count outside
+/// `1..=`[`MAX_AUDIT_SEGMENT`]), naming its byte offset; other I/O
 /// errors propagate.
 pub fn read_audit_log<R: Read>(
-    inner: R,
+    mut inner: R,
     expected_fingerprint: Option<u32>,
 ) -> io::Result<AuditLog> {
-    let mut r = ChecksumReader::new(inner);
-
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
+    let mut header = [0u8; HEADER_LEN];
+    inner.read_exact(&mut header[..8])?;
+    if &header[..8] != MAGIC {
         return Err(bad("not an audit log (bad magic)"));
     }
-    let fingerprint = read_u32(&mut r)?;
-    let mut b2 = [0u8; 2];
-    r.read_exact(&mut b2)?;
-    let shards = u16::from_le_bytes(b2);
-    let sample = read_u32(&mut r)?;
-    r.check_section_crc("audit header")?;
+    inner.read_exact(&mut header[8..])?;
+    let (fields, crc) = header.split_at(HEADER_LEN - 4);
+    if crate::crc32c::checksum(fields).to_le_bytes() != crc {
+        return Err(bad("audit header checksum mismatch"));
+    }
+    let fingerprint = u32::from_le_bytes([fields[8], fields[9], fields[10], fields[11]]);
+    let shards = u16::from_le_bytes([fields[12], fields[13]]);
+    let sample = u32::from_le_bytes([fields[14], fields[15], fields[16], fields[17]]);
     if shards == 0 {
         return Err(bad("audit header shard count is zero"));
     }
@@ -300,49 +315,15 @@ pub fn read_audit_log<R: Read>(
         }
     }
 
+    let mut frames = frame::Reader::new(inner, SEGMENT_HEAD, HEADER_LEN as u64);
     let mut records = Vec::new();
-    let mut torn = false;
-    loop {
-        // A clean log ends exactly at a segment boundary: zero bytes of
-        // the next count. Anything between that and a verified CRC is a
-        // torn tail.
-        let mut count_buf = [0u8; 4];
-        match read_all_or_eof(&mut r, &mut count_buf)? {
-            0 => break,
-            4 => {}
-            _ => {
-                torn = true;
-                break;
-            }
-        }
-        let count = u32::from_le_bytes(count_buf) as usize;
-        if count == 0 || count > MAX_AUDIT_SEGMENT {
-            return Err(bad(&format!(
-                "audit segment count {count} outside 1..={MAX_AUDIT_SEGMENT}"
-            )));
-        }
-        let mut segment = Vec::with_capacity(count);
-        let mut record_buf = [0u8; RECORD_LEN];
-        let mut complete = true;
-        for _ in 0..count {
-            if read_all_or_eof(&mut r, &mut record_buf)? != RECORD_LEN {
-                complete = false;
-                break;
-            }
-            segment.push(AuditRecord::decode(&record_buf));
-        }
-        if !complete {
-            torn = true;
-            break;
-        }
-        match r.check_section_crc("audit segment") {
-            Ok(()) => records.extend_from_slice(&segment),
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                torn = true;
-                break;
-            }
-            Err(e) => return Err(e),
-        }
+    while let Some((_, body)) = frames.next_frame()? {
+        records.extend(
+            body.as_chunks::<RECORD_LEN>()
+                .0
+                .iter()
+                .map(AuditRecord::decode),
+        );
     }
 
     Ok(AuditLog {
@@ -352,7 +333,7 @@ pub fn read_audit_log<R: Read>(
             sample,
         },
         records,
-        torn,
+        torn: frames.torn(),
     })
 }
 
@@ -388,27 +369,6 @@ pub fn sample_threshold(sample: u32) -> u64 {
     } else {
         u64::MAX / u64::from(sample)
     }
-}
-
-/// Reads as many bytes as possible into `buf`; a clean EOF partway
-/// through returns the short count instead of an error.
-fn read_all_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<usize> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(filled)
-}
-
-fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
 }
 
 fn bad(msg: &str) -> io::Error {
@@ -510,46 +470,6 @@ mod tests {
         };
         let mut buf = Vec::new();
         assert!(AuditWriter::create(&mut buf, &h).is_err());
-    }
-
-    #[test]
-    fn truncation_anywhere_yields_clean_prefix() {
-        let records: Vec<_> = (0..7).map(record).collect();
-        let full = encode_log(&records);
-        let header_len = 8 + 4 + 2 + 4 + 4;
-        for cut in header_len..full.len() {
-            let log = read_audit_log(&mut &full[..cut], Some(0xdead_f00d))
-                .unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
-            assert_eq!(log.torn, cut != full.len() && cut != header_len);
-            assert!(records.starts_with(&log.records), "cut at {cut}");
-        }
-    }
-
-    #[test]
-    fn truncation_inside_header_is_an_error() {
-        let full = encode_log(&[record(0)]);
-        let header_len = 8 + 4 + 2 + 4 + 4;
-        for cut in 0..header_len {
-            assert!(
-                read_audit_log(&mut &full[..cut], None).is_err(),
-                "cut at {cut}"
-            );
-        }
-    }
-
-    #[test]
-    fn mid_file_corruption_is_fatal() {
-        let mut w = AuditWriter::create(Vec::new(), &header()).expect("create");
-        w.append(&[record(0), record(1)]).expect("append");
-        w.append(&[record(2)]).expect("append");
-        let mut buf = w.into_inner().expect("inner");
-        // Flip a byte inside the *first* segment's records: a later
-        // intact segment proves this is corruption, not truncation.
-        let header_len = 8 + 4 + 2 + 4 + 4;
-        buf[header_len + 4 + 10] ^= 0x01;
-        let err = read_audit_log(&mut buf.as_slice(), None).expect_err("corrupt");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("audit segment"), "{err}");
     }
 
     #[test]

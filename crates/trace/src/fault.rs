@@ -1,11 +1,13 @@
-//! Byte-level fault injection for the on-disk trace format.
+//! Byte-level fault injection for every on-disk format.
 //!
-//! Test support for the robustness suite: deterministic, seedable
-//! generators of corrupted trace buffers — single-byte flips, truncations,
-//! and splices — used to prove that [`crate::io::read_trace`] never
-//! panics on malformed input and that the v2 checksums catch payload
-//! corruption. Lives in the library (rather than a test file) so the
-//! harness and integration suites can share one mutation engine.
+//! Test support for the robustness suites: deterministic, seedable
+//! generators of corrupted buffers — single-byte flips, truncations, and
+//! splices. They prove that [`crate::io::read_trace`] never panics on
+//! malformed input and that the v2 checksums catch payload corruption,
+//! and that every [`crate::frame`] log honours the one torn-tail policy
+//! written in that module. Lives in the library (rather than a test
+//! file) so the harness and integration suites can share one mutation
+//! engine.
 //!
 //! The generator is a self-contained SplitMix64 so mutations reproduce
 //! exactly from a seed, independent of any external RNG crate.

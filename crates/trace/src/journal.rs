@@ -24,14 +24,13 @@
 //!
 //! # Failure model
 //!
-//! The writer flushes after every appended segment, so a process killed
-//! hard (SIGKILL, power loss short of media failure) leaves at most one
-//! *torn* segment at the tail. [`read_journal`] tolerates exactly that:
-//! it returns every segment up to the first one that is short or fails
-//! its checksum and reports the cut with [`JournalContents::torn`] —
-//! corruption truncates the log, it never yields bogus records. A new
-//! writer then starts a *new* file at the recovered offset instead of
-//! appending past the tear.
+//! Segments are [`crate::frame`] frames read under that module's one
+//! policy. A process killed hard (kill -9) leaves at most one *torn*
+//! segment at the tail: [`read_journal`] returns every whole segment
+//! before it and reports the cut with [`JournalContents::torn`]. A
+//! damaged segment anywhere is a [`frame::Corrupt`] error, never a
+//! silently shorter log. A new writer starts a *new* file at the
+//! recovered offset instead of appending past the tear.
 //!
 //! # Example
 //!
@@ -52,6 +51,7 @@
 //! ```
 
 use crate::crc32c;
+use crate::frame::{self, Head};
 use std::io::{self, Read, Write};
 
 /// Identifies a journal file written by this crate (format version 2,
@@ -63,9 +63,19 @@ pub const JOURNAL_MAGIC: &[u8; 8] = b"CSPJRNL2";
 /// `epoch = 0`); never written.
 pub const JOURNAL_MAGIC_V1: &[u8; 8] = b"CSPJRNL1";
 
-/// Hard ceiling on one segment's record bytes: bounds what a corrupt
-/// length field can make the reader allocate.
+/// Hard ceiling on one segment's record bytes: a longer length field is
+/// corruption.
 pub const MAX_SEGMENT_BYTES: usize = 1 << 24;
+
+/// Segment head: `count u32 | len u32`.
+const SEGMENT_HEAD: Head = Head {
+    what: "journal segment",
+    len: 8,
+    body_len: |h| {
+        let len = u32::from_le_bytes([h[4], h[5], h[6], h[7]]) as usize;
+        (len <= MAX_SEGMENT_BYTES).then_some(len)
+    },
+};
 
 /// The self-describing prefix of a journal file.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -97,8 +107,8 @@ pub struct JournalContents {
     pub header: JournalHeader,
     /// Whole, checksum-verified segments, in append order.
     pub segments: Vec<JournalSegment>,
-    /// `true` when the file ended in a torn or corrupt segment that was
-    /// discarded — the recovered prefix is still trustworthy.
+    /// `true` when the file ended inside a segment (a torn tail) that
+    /// was discarded — the recovered prefix is still trustworthy.
     pub torn: bool,
 }
 
@@ -118,6 +128,8 @@ fn bad(msg: impl Into<String>) -> io::Error {
 #[derive(Debug)]
 pub struct SegmentWriter<W: Write> {
     inner: W,
+    /// The segment being framed, reused across appends.
+    scratch: Vec<u8>,
 }
 
 impl<W: Write> SegmentWriter<W> {
@@ -136,7 +148,10 @@ impl<W: Write> SegmentWriter<W> {
         inner.write_all(&fields)?;
         inner.write_all(&crc32c::checksum(&fields).to_le_bytes())?;
         inner.flush()?;
-        Ok(SegmentWriter { inner })
+        Ok(SegmentWriter {
+            inner,
+            scratch: Vec::new(),
+        })
     }
 
     /// Appends one segment of `count` records packed into `records` and
@@ -157,12 +172,11 @@ impl<W: Write> SegmentWriter<W> {
         let mut head = [0u8; 8];
         head[..4].copy_from_slice(&count.to_le_bytes());
         head[4..].copy_from_slice(&(records.len() as u32).to_le_bytes());
-        let mut crc = crc32c::Hasher::new();
-        crc.update(&head);
-        crc.update(records);
-        self.inner.write_all(&head)?;
-        self.inner.write_all(records)?;
-        self.inner.write_all(&crc.finalize().to_le_bytes())?;
+        self.scratch.clear();
+        frame::append(&mut self.scratch, &head, |out| {
+            out.extend_from_slice(records)
+        });
+        self.inner.write_all(&self.scratch)?;
         self.inner.flush()
     }
 
@@ -172,40 +186,16 @@ impl<W: Write> SegmentWriter<W> {
     }
 }
 
-fn read_exact_or_torn<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<ReadOutcome> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Ok(if filled == 0 {
-                    ReadOutcome::CleanEnd
-                } else {
-                    ReadOutcome::Torn
-                })
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(ReadOutcome::Whole)
-}
-
-enum ReadOutcome {
-    Whole,
-    CleanEnd,
-    Torn,
-}
-
-/// Reads a journal, tolerating a torn tail: every whole, checksummed
-/// segment before the first damaged one is returned and the damage is
-/// reported as [`JournalContents::torn`].
+/// Reads a journal under the [`crate::frame`] policy: every whole
+/// segment before a torn tail is returned and the tear is reported as
+/// [`JournalContents::torn`].
 ///
 /// # Errors
 ///
-/// [`io::ErrorKind::InvalidData`] when the magic or the *header* is bad
-/// (nothing can be trusted then); transport errors propagate. Segment
-/// damage is not an error — it truncates.
+/// [`io::ErrorKind::InvalidData`] carrying a [`frame::Corrupt`] for a
+/// damaged segment, naming its byte offset; `InvalidData` when the magic
+/// or the *header* is bad (nothing can be trusted then); transport
+/// errors propagate.
 pub fn read_journal<R: Read>(mut r: R) -> io::Result<JournalContents> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
@@ -235,61 +225,24 @@ pub fn read_journal<R: Read>(mut r: R) -> io::Result<JournalContents> {
             fields[19],
         ]),
     };
+    let mut frames = frame::Reader::new(r, SEGMENT_HEAD, (8 + header_len + 4) as u64);
     let mut segments = Vec::new();
-    let mut torn = false;
-    loop {
-        let mut head = [0u8; 8];
-        match read_exact_or_torn(&mut r, &mut head)? {
-            ReadOutcome::CleanEnd => break,
-            ReadOutcome::Torn => {
-                torn = true;
-                break;
-            }
-            ReadOutcome::Whole => {}
-        }
-        let count = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
-        let len = u32::from_le_bytes([head[4], head[5], head[6], head[7]]) as usize;
-        if len > MAX_SEGMENT_BYTES {
-            // A plausible header never claims this; the tail is garbage.
-            torn = true;
-            break;
-        }
-        let mut records = vec![0u8; len];
-        if !matches!(
-            read_exact_or_torn(&mut r, &mut records)?,
-            ReadOutcome::Whole
-        ) {
-            torn = true;
-            break;
-        }
-        let mut crc_bytes = [0u8; 4];
-        if !matches!(
-            read_exact_or_torn(&mut r, &mut crc_bytes)?,
-            ReadOutcome::Whole
-        ) {
-            torn = true;
-            break;
-        }
-        let mut crc = crc32c::Hasher::new();
-        crc.update(&head);
-        crc.update(&records);
-        if u32::from_le_bytes(crc_bytes) != crc.finalize() {
-            torn = true;
-            break;
-        }
-        segments.push(JournalSegment { count, records });
+    while let Some((head, records)) = frames.next_frame()? {
+        segments.push(JournalSegment {
+            count: u32::from_le_bytes([head[0], head[1], head[2], head[3]]),
+            records: records.to_vec(),
+        });
     }
     Ok(JournalContents {
         header,
         segments,
-        torn,
+        torn: frames.torn(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{all_single_byte_flips, Mutation};
 
     fn sample() -> Vec<u8> {
         let mut bytes = Vec::new();
@@ -377,61 +330,7 @@ mod tests {
     }
 
     #[test]
-    fn every_tail_truncation_recovers_a_clean_prefix() {
-        let bytes = sample();
-        // The file prefix before segments: magic + header + header crc.
-        let header_len = 8 + 20 + 4;
-        for len in header_len..bytes.len() {
-            let cut = Mutation::Truncate { len }.apply(&bytes);
-            let back = read_journal(cut.as_slice()).unwrap();
-            // Either the cut landed exactly on a segment boundary (clean)
-            // or the tail segment was discarded (torn) — never a partial
-            // or corrupt segment in the output.
-            assert!(back.segments.len() <= 3);
-            for (i, seg) in back.segments.iter().enumerate() {
-                let reference = [b"aaabbbccc".as_slice(), b"dd", b"eeee"];
-                assert_eq!(seg.records, reference[i], "truncated to {len}");
-            }
-            if len < bytes.len() {
-                assert!(
-                    back.torn || back.segments.len() < 3 || len == bytes.len(),
-                    "cut at {len} claimed a whole file"
-                );
-            }
-        }
-        // Truncating into the header itself is a hard error.
-        for len in 0..header_len {
-            assert!(read_journal(Mutation::Truncate { len }.apply(&bytes).as_slice()).is_err());
-        }
-    }
-
-    #[test]
-    fn every_single_byte_flip_is_detected_or_truncates() {
-        let bytes = sample();
-        let clean = read_journal(bytes.as_slice()).unwrap();
-        for m in all_single_byte_flips(&bytes, 0x04) {
-            let hurt = m.apply(&bytes);
-            match read_journal(hurt.as_slice()) {
-                // Header damage: the whole file is rejected.
-                Err(_) => {}
-                // Segment damage: the log is truncated at the flip, and
-                // every surviving segment is bit-identical to the clean
-                // read's prefix.
-                Ok(back) => {
-                    assert!(
-                        back.torn || back.segments == clean.segments,
-                        "{m:?} silently altered the recovered log"
-                    );
-                    for (a, b) in back.segments.iter().zip(&clean.segments) {
-                        assert_eq!(a, b, "{m:?} corrupted a recovered segment");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn hostile_segment_length_truncates_instead_of_allocating() {
+    fn hostile_segment_length_is_corrupt_without_allocating() {
         let mut bytes = Vec::new();
         let header = JournalHeader {
             fingerprint: 1,
@@ -440,13 +339,15 @@ mod tests {
         };
         let mut w = SegmentWriter::create(&mut bytes, &header).unwrap();
         w.append(1, b"x").unwrap();
-        // Forge a segment header claiming u32::MAX record bytes.
+        // Forge a segment header claiming u32::MAX record bytes: the
+        // length is refused before any body is read or allocated.
+        let forged_at = bytes.len() as u64;
         bytes.extend_from_slice(&1u32.to_le_bytes());
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         bytes.extend_from_slice(b"garbage");
-        let back = read_journal(bytes.as_slice()).unwrap();
-        assert_eq!(back.segments.len(), 1);
-        assert!(back.torn);
+        let err = read_journal(bytes.as_slice()).unwrap_err();
+        let corrupt = frame::Corrupt::of(&err).map(|c| c.offset);
+        assert_eq!(corrupt, Some(forged_at));
     }
 
     #[test]

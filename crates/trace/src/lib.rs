@@ -12,6 +12,8 @@
 //!   bitmap of every event,
 //! * [`TraceStats`] — the per-benchmark statistics of Table 5 of the paper,
 //! * a compact self-describing binary on-disk format ([`io`]),
+//! * the framed-log primitive ([`frame`]) every append-only durable log
+//!   is written and read through, with one torn-tail policy,
 //! * durable CRC32c-framed journal segments ([`journal`]) — the on-disk
 //!   log replicated serving is built on,
 //! * the canonical per-decision audit record codec ([`audit`]) that makes
@@ -60,6 +62,7 @@ mod bitmap;
 pub mod crc32c;
 mod event;
 pub mod fault;
+pub mod frame;
 mod ids;
 pub mod io;
 pub mod journal;
