@@ -16,26 +16,31 @@
 //!   later prediction through that entry sees this feedback, the oracle
 //!   ordering of Figure 4.
 //!
-//! Three loops evaluate schemes, all over the flat columns of a
+//! Two loops evaluate schemes, both over the flat columns of a
 //! [`PreparedTrace`] (ground-truth actuals resolved once, per-index key
-//! streams computed once) and all bit-identical to one another:
+//! streams computed once) and bit-identical to each other:
 //!
 //! * `drive` walks events in order and touches a real predictor table
 //!   through the one-probe entry API ([`PredictorTable::update_and_predict`]
 //!   and friends). It serves every function, PAs included, and per-event
 //!   predictions ([`run_scheme`], [`predictions_for`]).
-//! * `family_sweep` replays each predictor entry slot-major against a
-//!   stack-local window and scores every `union`/`inter` depth in one pass
-//!   ([`run_history_family`]), the design-space sweep's kernel.
-//! * `simd::sweep` is the same slot-major walk for one history scheme,
-//!   with batched vector popcounts ([`crate::run_scheme_simd`]).
+//! * `slot_major` is the one scoring kernel for history functions: it
+//!   replays each predictor entry slot-major against a stack-local shift
+//!   window and hands every decision to an accumulator. The family
+//!   accumulator scores every `union`/`inter` depth in one pass
+//!   ([`run_history_family`], the design-space sweep's kernel); the
+//!   batched popcount accumulator scores one scheme's fold
+//!   ([`crate::run_scheme_simd`]).
 //!
 //! The `*_prepared` entry points share an explicit `PreparedTrace` across
 //! many schemes (the sweep case); the plain entry points prepare
 //! internally per call, so a single evaluation still pays resolution
 //! exactly once.
 
-use crate::{IndexSpec, PredictorTable, PreparedTrace, Scheme, SlotOp, UpdateMode};
+use crate::simd::prefetch_next;
+use crate::{
+    IndexSpec, KeyStream, PredictorTable, PreparedTrace, Scheme, SlotOp, UpdateMode, MAX_DEPTH,
+};
 use csp_metrics::ConfusionMatrix;
 use csp_trace::{SharingBitmap, Trace};
 
@@ -170,65 +175,106 @@ pub fn run_history_family_prepared(
     update: UpdateMode,
     max_depth: usize,
 ) -> FamilyResult {
-    assert!(
-        (1..=crate::MAX_DEPTH).contains(&max_depth),
-        "max_depth must be in 1..={}",
-        crate::MAX_DEPTH
-    );
     let stream = prepared.key_stream(index);
-    let nodes = prepared.nodes();
-    // Monomorphize the hot loop per depth: a const-generic depth turns
-    // the per-decision fold into a fixed-bound, fully unrollable loop
-    // with no per-depth branches.
-    match max_depth {
-        1 => family_sweep::<1>(&stream, update, nodes),
-        2 => family_sweep::<2>(&stream, update, nodes),
-        3 => family_sweep::<3>(&stream, update, nodes),
-        4 => family_sweep::<4>(&stream, update, nodes),
-        5 => family_sweep::<5>(&stream, update, nodes),
-        6 => family_sweep::<6>(&stream, update, nodes),
-        7 => family_sweep::<7>(&stream, update, nodes),
-        8 => family_sweep::<8>(&stream, update, nodes),
-        _ => unreachable!("max_depth checked above"),
+    let acc = slot_major(&stream, update, max_depth, FamilyAcc::new(prepared.nodes()));
+    acc.finish(max_depth, prepared.nodes())
+}
+
+/// A predictor entry's history as a linear shift window of raw bitmap
+/// bits: `bits[0]` is the newest stored feedback. Same state as
+/// [`crate::HistoryEntry`] but laid out for the scoring fold: pushes shift
+/// instead of rotating a ring, and slots never written stay zero. Zero is
+/// the identity of the union fold and absorbing for the intersection fold,
+/// so folding across all `D` slots of a partially-filled window reproduces
+/// exactly the shallow-entry semantics with no occupancy count (union over
+/// everything stored; an intersection entry whose history is not yet full
+/// predicts nothing).
+pub(crate) struct Window<const D: usize> {
+    pub(crate) bits: [u64; D],
+}
+
+impl<const D: usize> Window<D> {
+    #[inline(always)]
+    fn push(&mut self, feedback: u64) {
+        self.bits.copy_within(0..D - 1, 1);
+        self.bits[0] = feedback;
     }
 }
 
-/// The slot-major family evaluation at one const depth `MD`.
+/// What the slot-major kernel scores into: each decision arrives as the
+/// entry's window at prediction time plus the decision's actual bitmap.
+pub(crate) trait Accumulator {
+    fn score<const D: usize>(&mut self, w: &Window<D>, actual: u64);
+}
+
+/// The slot-major scoring kernel behind [`run_history_family_prepared`]
+/// and [`crate::run_scheme_simd`]: feeds every decision of `update` over
+/// `stream` into `acc` with a `depth`-deep window.
 ///
-/// The loop runs *slot-major*: each predictor entry's interactions are
-/// replayed in event order against one stack-local history window, so
-/// there is no table at all — no per-event hash probe, no random entry
-/// access — and the pre-gathered slot payloads make every read
-/// sequential. This visits exactly the entry states the event-order loop
-/// would (an entry's state depends only on earlier events touching the
-/// same slot), and the accumulated counts are order-independent sums, so
-/// the result is bit-identical to the event-order evaluation. A fresh
-/// (all-cold) window also scores exactly like an absent table entry,
-/// matching the hashed create-on-update semantics.
-fn family_sweep<const MD: usize>(
-    stream: &crate::KeyStream,
+/// # Panics
+///
+/// Panics if `depth` is out of `1..=MAX_DEPTH`.
+pub(crate) fn slot_major<A: Accumulator>(
+    stream: &KeyStream,
     update: UpdateMode,
-    nodes: usize,
-) -> FamilyResult {
-    let mut acc = FamilyAcc::<MD>::new(nodes);
+    depth: usize,
+    acc: A,
+) -> A {
+    // Monomorphize the hot loop per depth: a const-generic depth turns
+    // the per-decision fold into a fixed-bound, fully unrollable loop
+    // with no per-depth branches.
+    match depth {
+        1 => walk::<1, A>(stream, update, acc),
+        2 => walk::<2, A>(stream, update, acc),
+        3 => walk::<3, A>(stream, update, acc),
+        4 => walk::<4, A>(stream, update, acc),
+        5 => walk::<5, A>(stream, update, acc),
+        6 => walk::<6, A>(stream, update, acc),
+        7 => walk::<7, A>(stream, update, acc),
+        8 => walk::<8, A>(stream, update, acc),
+        _ => panic!("history depth must be in 1..={MAX_DEPTH}, got {depth}"),
+    }
+}
+
+/// The slot-major walk at one const depth `D`.
+///
+/// Each predictor entry's interactions are replayed in event order
+/// against one stack-local [`Window`], so there is no table at all — no
+/// per-event hash probe, no random entry access — and the pre-gathered
+/// slot payloads make every read sequential, with the next slot's span
+/// prefetched while the current one scores. This visits exactly the entry
+/// states the event-order loop would (an entry's state depends only on
+/// earlier events touching the same slot), and the accumulated counts are
+/// order-independent sums, so the result is bit-identical to the
+/// event-order evaluation. A fresh (all-zero) window also scores exactly
+/// like an absent table entry, matching the hashed create-on-update
+/// semantics.
+fn walk<const D: usize, A: Accumulator>(stream: &KeyStream, update: UpdateMode, mut acc: A) -> A {
+    let slots = stream.slot_count();
     match update {
         UpdateMode::Direct => {
-            for slot in 0..stream.slot_count() {
-                let mut w = Window::<MD>::new();
+            for slot in 0..slots {
+                if slot + 1 < slots {
+                    prefetch_next(stream.slot_data(slot + 1));
+                }
+                let mut w = Window::<D> { bits: [0; D] };
                 for d in stream.slot_data(slot) {
                     if d.has_prev {
-                        w.push(d.feedback);
+                        w.push(d.feedback.bits());
                     }
-                    acc.score(&w, d.actual);
+                    acc.score(&w, d.actual.bits());
                 }
             }
         }
         UpdateMode::Ordered => {
-            for slot in 0..stream.slot_count() {
-                let mut w = Window::<MD>::new();
+            for slot in 0..slots {
+                if slot + 1 < slots {
+                    prefetch_next(stream.slot_data(slot + 1));
+                }
+                let mut w = Window::<D> { bits: [0; D] };
                 for d in stream.slot_data(slot) {
-                    acc.score(&w, d.actual);
-                    w.push(d.actual);
+                    acc.score(&w, d.actual.bits());
+                    w.push(d.actual.bits());
                 }
             }
         }
@@ -236,118 +282,101 @@ fn family_sweep<const MD: usize>(
         // key, score via their own), so this walks the stream's merged
         // per-slot op sequence instead of its per-slot event list.
         UpdateMode::Forwarded => {
-            for slot in 0..stream.slot_count() {
-                let mut w = Window::<MD>::new();
+            for slot in 0..slots {
+                if slot + 1 < slots {
+                    prefetch_next(stream.slot_op_data(slot + 1));
+                }
+                let mut w = Window::<D> { bits: [0; D] };
                 for (&op, &payload) in stream.slot_ops(slot).iter().zip(stream.slot_op_data(slot)) {
                     match op {
-                        SlotOp::Push => w.push(payload),
-                        SlotOp::Score => acc.score(&w, payload),
+                        SlotOp::Push => w.push(payload.bits()),
+                        SlotOp::Score => acc.score(&w, payload.bits()),
                     }
                 }
             }
         }
     }
-    acc.finalize(nodes)
+    acc
 }
 
-/// A predictor entry's history as a linear shift window: `bitmaps[0]` is
-/// the newest stored feedback. Same state as [`crate::HistoryEntry`] but
-/// laid out for the family evaluator's fold: pushes shift instead of
-/// rotating a ring, and slots never written stay *empty*. Empty is the
-/// identity of the union fold and absorbing for the intersection fold, so
-/// the scorer needs no occupancy count — folding across all `MD` slots of
-/// a partially-filled window reproduces exactly the shallow-entry
-/// semantics (union over everything stored; an intersection entry whose
-/// history is not yet full predicts nothing).
-struct Window<const MD: usize> {
-    bitmaps: [SharingBitmap; MD],
-}
-
-impl<const MD: usize> Window<MD> {
-    fn new() -> Self {
-        Window {
-            bitmaps: [SharingBitmap::empty(); MD],
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, feedback: SharingBitmap) {
-        self.bitmaps.copy_within(0..MD - 1, 1);
-        self.bitmaps[0] = feedback;
-    }
-}
-
-/// Per-depth counters for one family pass, accumulated on the stack.
-///
-/// Only true positives and predicted positives are counted per depth —
-/// the full matrices follow from counter algebra at the end:
-/// `fp = predicted − tp`, `fn = actual_total − tp`, and
-/// `tn = decisions − tp − fp − fn`. These are exact integer identities
+/// The counter algebra both slot-major accumulators finish with: the full
+/// matrix from the sums of `popcount(predicted & actual)`,
+/// `popcount(predicted)` and `popcount(actual)` over `scored` decisions,
+/// via `fp = predicted − tp`, `fn = actual − tp` and
+/// `tn = scored·nodes − tp − fp − fn`. These are exact integer identities
 /// over the same per-event popcounts [`ConfusionMatrix::record`] sums, so
-/// the finalized matrices are bit-identical to per-event `record` calls.
-struct FamilyAcc<const MD: usize> {
-    tp_union: [u64; MD],
-    predicted_union: [u64; MD],
-    tp_inter: [u64; MD],
-    predicted_inter: [u64; MD],
-    actual_total: u64,
+/// the matrix is bit-identical to per-event `record` calls.
+pub(crate) fn matrix_from_sums(
+    tp: u64,
+    predicted: u64,
+    actual: u64,
     scored: u64,
-    all: SharingBitmap,
+    nodes: usize,
+) -> ConfusionMatrix {
+    let fp = predicted - tp;
+    let fn_ = actual - tp;
+    ConfusionMatrix {
+        tp,
+        fp,
+        fn_,
+        tn: scored * nodes as u64 - tp - fp - fn_,
+    }
 }
 
-impl<const MD: usize> FamilyAcc<MD> {
+/// The family accumulator: true and predicted positives of `union` and
+/// `inter` at every depth of the window, for one pass.
+struct FamilyAcc {
+    tp_union: [u64; MAX_DEPTH],
+    predicted_union: [u64; MAX_DEPTH],
+    tp_inter: [u64; MAX_DEPTH],
+    predicted_inter: [u64; MAX_DEPTH],
+    actual: u64,
+    scored: u64,
+    all: u64,
+}
+
+impl FamilyAcc {
     fn new(nodes: usize) -> Self {
         FamilyAcc {
-            tp_union: [0; MD],
-            predicted_union: [0; MD],
-            tp_inter: [0; MD],
-            predicted_inter: [0; MD],
-            actual_total: 0,
+            tp_union: [0; MAX_DEPTH],
+            predicted_union: [0; MAX_DEPTH],
+            tp_inter: [0; MAX_DEPTH],
+            predicted_inter: [0; MAX_DEPTH],
+            actual: 0,
             scored: 0,
-            all: SharingBitmap::all(nodes),
+            all: SharingBitmap::all(nodes).bits(),
         }
     }
 
-    /// Scores one decision at every depth `1..=MD` against the window's
-    /// fold prefixes. The window's empty padding (see [`Window`]) makes
-    /// the fold exact for partially-filled histories with no length
-    /// bookkeeping.
-    #[inline]
-    fn score(&mut self, w: &Window<MD>, actual: SharingBitmap) {
-        self.scored += 1;
-        self.actual_total += actual.count() as u64;
-        let mut union = SharingBitmap::empty();
-        let mut inter = self.all;
-        for d in 0..MD {
-            let b = w.bitmaps[d];
-            union |= b;
-            inter &= b;
-            self.tp_union[d] += (union & actual).count() as u64;
-            self.predicted_union[d] += union.count() as u64;
-            self.tp_inter[d] += (inter & actual).count() as u64;
-            self.predicted_inter[d] += inter.count() as u64;
-        }
-    }
-
-    fn finalize(self, nodes: usize) -> FamilyResult {
-        let decisions = self.scored * nodes as u64;
-        let matrix = |tp: u64, predicted: u64| {
-            let fp = predicted - tp;
-            let fn_ = self.actual_total - tp;
-            ConfusionMatrix {
-                tp,
-                fp,
-                fn_,
-                tn: decisions - tp - fp - fn_,
-            }
-        };
+    fn finish(self, max_depth: usize, nodes: usize) -> FamilyResult {
+        let matrix =
+            |tp, predicted| matrix_from_sums(tp, predicted, self.actual, self.scored, nodes);
         FamilyResult {
-            union: (0..MD)
+            union: (0..max_depth)
                 .map(|d| matrix(self.tp_union[d], self.predicted_union[d]))
                 .collect(),
-            inter: (0..MD)
+            inter: (0..max_depth)
                 .map(|d| matrix(self.tp_inter[d], self.predicted_inter[d]))
                 .collect(),
+        }
+    }
+}
+
+impl Accumulator for FamilyAcc {
+    /// Scores one decision at every depth `1..=D` against the window's
+    /// fold prefixes.
+    #[inline(always)]
+    fn score<const D: usize>(&mut self, w: &Window<D>, actual: u64) {
+        self.scored += 1;
+        self.actual += u64::from(actual.count_ones());
+        let (mut union, mut inter) = (0, self.all);
+        for d in 0..D {
+            union |= w.bits[d];
+            inter &= w.bits[d];
+            self.tp_union[d] += u64::from((union & actual).count_ones());
+            self.predicted_union[d] += u64::from(union.count_ones());
+            self.tp_inter[d] += u64::from((inter & actual).count_ones());
+            self.predicted_inter[d] += u64::from(inter.count_ones());
         }
     }
 }

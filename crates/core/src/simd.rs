@@ -2,8 +2,7 @@
 //!
 //! The scoring fold of every history scheme is pure bitmap algebra, and
 //! the confusion-matrix bookkeeping reduces to three exact popcount sums
-//! per decision (the counter algebra proven in
-//! [`crate::engine::run_history_family_prepared`]):
+//! per decision:
 //!
 //! ```text
 //! tp        += popcount(predicted & actual)
@@ -11,20 +10,21 @@
 //! actual    += popcount(actual)
 //! ```
 //!
-//! with `fp = predicted − tp`, `fn = actual − tp` and
-//! `tn = decisions − tp − fp − fn` recovered at the end. Integer sums are
-//! order- and grouping-independent, so the decisions can be accumulated
-//! in batches of 8 with `core::arch::x86_64` vector popcounts and remain
-//! **bit-identical** to per-event [`ConfusionMatrix::record`] calls.
+//! from which the engine's one counter-algebra function recovers `fp`,
+//! `fn` and `tn`. Integer sums are order- and grouping-independent, so
+//! the decisions can be accumulated in batches of 8 with
+//! `core::arch::x86_64` vector popcounts and remain **bit-identical** to
+//! per-event [`ConfusionMatrix::record`] calls.
 //!
-//! [`run_scheme_simd`] combines that batched accumulator with the
-//! slot-major walk over a [`KeyStream`]'s CSR payload columns (the same
-//! walk the family evaluator uses): each predictor entry's interactions
-//! replay in event order against one stack-local shift window, so the
-//! hot loop does no hashing and no table probe at all, and a software
-//! prefetch of the next slot's payload span hides the stream latency
-//! behind the current batch. PAs schemes are control-flow-bound, not
-//! popcount-bound; they fall back to the prepared evaluator unchanged.
+//! [`run_scheme_simd`] feeds that batched accumulator from the engine's
+//! slot-major scoring kernel, the same walk, window and depth dispatch
+//! the family evaluator ([`crate::engine::run_history_family_prepared`])
+//! runs: each predictor entry's interactions replay in event order
+//! against one stack-local shift window, so the hot loop does no hashing
+//! and no table probe at all, and a software prefetch of the next slot's
+//! payload span hides the stream latency behind the current batch. PAs
+//! schemes are control-flow-bound, not popcount-bound; they fall back to
+//! the prepared evaluator unchanged.
 //!
 //! The vector path is selected at runtime with
 //! `is_x86_feature_detected!("avx2")`; every other build (or
@@ -38,8 +38,10 @@
 
 #![allow(unsafe_code)]
 
-use crate::{KeyStream, PredictionFunction, PreparedTrace, Scheme, SlotOp, UpdateMode, MAX_DEPTH};
+use crate::engine::{matrix_from_sums, slot_major, Accumulator, Window};
+use crate::{KeyStream, PredictionFunction, PreparedTrace, Scheme, UpdateMode};
 use csp_metrics::ConfusionMatrix;
+use std::marker::PhantomData;
 
 /// Which accumulation path [`run_scheme_simd`] uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -85,7 +87,8 @@ pub fn run_scheme_simd(prepared: &PreparedTrace<'_>, scheme: &Scheme) -> Confusi
 }
 
 /// [`run_scheme_simd`] with an explicit backend — the forced-scalar
-/// entry point equivalence tests pin against the vector path.
+/// entry point equivalence tests pin against the vector path. Asking for
+/// [`SimdBackend::Avx2`] on a host without AVX2 runs the scalar path.
 pub fn run_scheme_simd_with(
     prepared: &PreparedTrace<'_>,
     scheme: &Scheme,
@@ -96,77 +99,34 @@ pub fn run_scheme_simd_with(
         return crate::engine::run_scheme_prepared(prepared, scheme);
     }
     let stream = prepared.key_stream(scheme.index);
-    let nodes = prepared.nodes();
-    // Same effective ring depth the table constructor uses.
-    let depth = match scheme.function {
-        PredictionFunction::OverlapLast => 2,
-        _ => scheme.depth,
-    };
+    let (update, depth, nodes) = (scheme.update, scheme.depth, prepared.nodes());
     match scheme.function {
-        PredictionFunction::Last => {
-            by_depth::<LastFold>(&stream, scheme.update, backend, nodes, depth)
-        }
-        PredictionFunction::Union => {
-            by_depth::<UnionFold>(&stream, scheme.update, backend, nodes, depth)
-        }
-        PredictionFunction::Inter => {
-            by_depth::<InterFold>(&stream, scheme.update, backend, nodes, depth)
-        }
+        PredictionFunction::Last => batched::<LastFold>(&stream, update, depth, backend, nodes),
+        PredictionFunction::Union => batched::<UnionFold>(&stream, update, depth, backend, nodes),
+        PredictionFunction::Inter => batched::<InterFold>(&stream, update, depth, backend, nodes),
+        // Same effective ring depth the table constructor uses.
         PredictionFunction::OverlapLast => {
-            sweep::<2, OverlapFold>(&stream, scheme.update, backend, nodes)
+            batched::<OverlapFold>(&stream, update, 2, backend, nodes)
         }
         PredictionFunction::Pas => unreachable!("handled by the prepared fallback above"),
     }
 }
 
-/// Monomorphizes the sweep per history depth, so the per-decision fold
-/// is a fixed-bound, fully unrollable loop.
-fn by_depth<F: Fold>(
+/// One history scheme through the slot-major kernel and the batched
+/// accumulator, folding each window with `F`.
+fn batched<F: Fold>(
     stream: &KeyStream,
     update: UpdateMode,
+    depth: usize,
     backend: SimdBackend,
     nodes: usize,
-    depth: usize,
 ) -> ConfusionMatrix {
-    match depth {
-        1 => sweep::<1, F>(stream, update, backend, nodes),
-        2 => sweep::<2, F>(stream, update, backend, nodes),
-        3 => sweep::<3, F>(stream, update, backend, nodes),
-        4 => sweep::<4, F>(stream, update, backend, nodes),
-        5 => sweep::<5, F>(stream, update, backend, nodes),
-        6 => sweep::<6, F>(stream, update, backend, nodes),
-        7 => sweep::<7, F>(stream, update, backend, nodes),
-        8 => sweep::<8, F>(stream, update, backend, nodes),
-        _ => panic!("history depth must be in 1..={MAX_DEPTH}, got {depth}"),
-    }
-}
-
-/// A predictor entry's history as a linear shift window of raw bits,
-/// exactly like the family evaluator's `Window`: `bits[0]` is the newest
-/// stored feedback, slots never written stay zero. Zero is the identity
-/// of the union fold and absorbing for the intersection fold, so folding
-/// all `D` slots of a partially-filled window reproduces the
-/// shallow-entry semantics with no length bookkeeping.
-struct BitWindow<const D: usize> {
-    bits: [u64; D],
-}
-
-impl<const D: usize> BitWindow<D> {
-    #[inline(always)]
-    fn new() -> Self {
-        BitWindow { bits: [0; D] }
-    }
-
-    #[inline(always)]
-    fn push(&mut self, feedback: u64) {
-        self.bits.copy_within(0..D - 1, 1);
-        self.bits[0] = feedback;
-    }
+    slot_major(stream, update, depth, BatchAcc::<F>::new(backend)).finish(nodes)
 }
 
 /// One prediction function's fold over a shift window.
 trait Fold {
-    fn fold<const D: usize>(w: &BitWindow<D>) -> u64;
+    fn fold<const D: usize>(w: &Window<D>) -> u64;
 }
 
 /// `last`: the newest stored bitmap (zero while cold — a cold entry
@@ -175,7 +135,7 @@ trait Fold {
 struct LastFold;
 impl Fold for LastFold {
     #[inline(always)]
-    fn fold<const D: usize>(w: &BitWindow<D>) -> u64 {
+    fn fold<const D: usize>(w: &Window<D>) -> u64 {
         w.bits[0]
     }
 }
@@ -184,7 +144,7 @@ impl Fold for LastFold {
 struct UnionFold;
 impl Fold for UnionFold {
     #[inline(always)]
-    fn fold<const D: usize>(w: &BitWindow<D>) -> u64 {
+    fn fold<const D: usize>(w: &Window<D>) -> u64 {
         let mut acc = 0;
         for d in 0..D {
             acc |= w.bits[d];
@@ -199,7 +159,7 @@ impl Fold for UnionFold {
 struct InterFold;
 impl Fold for InterFold {
     #[inline(always)]
-    fn fold<const D: usize>(w: &BitWindow<D>) -> u64 {
+    fn fold<const D: usize>(w: &Window<D>) -> u64 {
         let mut acc = w.bits[0];
         for d in 1..D {
             acc &= w.bits[d];
@@ -215,7 +175,7 @@ impl Fold for InterFold {
 struct OverlapFold;
 impl Fold for OverlapFold {
     #[inline(always)]
-    fn fold<const D: usize>(w: &BitWindow<D>) -> u64 {
+    fn fold<const D: usize>(w: &Window<D>) -> u64 {
         if w.bits[0] & w.bits[1] != 0 {
             w.bits[0]
         } else {
@@ -224,69 +184,12 @@ impl Fold for OverlapFold {
     }
 }
 
-/// The slot-major evaluation at one const depth and fold, feeding every
-/// decision through the batched accumulator.
-fn sweep<const D: usize, F: Fold>(
-    stream: &KeyStream,
-    update: UpdateMode,
-    backend: SimdBackend,
-    nodes: usize,
-) -> ConfusionMatrix {
-    let mut acc = BatchAcc::new(backend);
-    match update {
-        UpdateMode::Direct => {
-            for slot in 0..stream.slot_count() {
-                if slot + 1 < stream.slot_count() {
-                    prefetch_next(stream.slot_data(slot + 1));
-                }
-                let mut w = BitWindow::<D>::new();
-                for d in stream.slot_data(slot) {
-                    if d.has_prev {
-                        w.push(d.feedback.bits());
-                    }
-                    acc.push(F::fold(&w), d.actual.bits());
-                }
-            }
-        }
-        UpdateMode::Ordered => {
-            for slot in 0..stream.slot_count() {
-                if slot + 1 < stream.slot_count() {
-                    prefetch_next(stream.slot_data(slot + 1));
-                }
-                let mut w = BitWindow::<D>::new();
-                for d in stream.slot_data(slot) {
-                    acc.push(F::fold(&w), d.actual.bits());
-                    w.push(d.actual.bits());
-                }
-            }
-        }
-        // Forwarded events touch up to two slots (push via the forward
-        // key, score via their own), so this walks the merged per-slot
-        // op sequence instead of the per-slot event list.
-        UpdateMode::Forwarded => {
-            for slot in 0..stream.slot_count() {
-                if slot + 1 < stream.slot_count() {
-                    prefetch_next(stream.slot_op_data(slot + 1));
-                }
-                let mut w = BitWindow::<D>::new();
-                for (&op, &payload) in stream.slot_ops(slot).iter().zip(stream.slot_op_data(slot)) {
-                    match op {
-                        SlotOp::Push => w.push(payload.bits()),
-                        SlotOp::Score => acc.push(F::fold(&w), payload.bits()),
-                    }
-                }
-            }
-        }
-    }
-    acc.finalize(nodes)
-}
-
 /// Requests the head of the next slot's pre-gathered payload span into
-/// cache while the current slot's batch is still scoring. A miss costs
-/// nothing (prefetch is a hint and any address is allowed); past the last
-/// slot the slice is empty and no hint is issued.
+/// cache while the current slot is still scoring. A miss costs nothing
+/// (prefetch is a hint and any address is allowed); given an empty slice
+/// it issues no hint.
 #[inline(always)]
-fn prefetch_next<T>(upcoming: &[T]) {
+pub(crate) fn prefetch_next<T>(upcoming: &[T]) {
     #[cfg(target_arch = "x86_64")]
     if let Some(first) = upcoming.first() {
         // SAFETY: prefetch performs no memory access; the pointer is a
@@ -304,9 +207,9 @@ fn prefetch_next<T>(upcoming: &[T]) {
 /// bitmaps.
 const BATCH: usize = 8;
 
-/// The batched confusion accumulator: buffers `(predicted, actual)` bit
-/// pairs and folds full batches into the three popcount sums.
-struct BatchAcc {
+/// The batched confusion accumulator: buffers `(F::fold(window), actual)`
+/// bit pairs and folds full batches into the three popcount sums.
+struct BatchAcc<F> {
     pred: [u64; BATCH],
     act: [u64; BATCH],
     fill: usize,
@@ -314,11 +217,23 @@ struct BatchAcc {
     predicted: u64,
     actual: u64,
     scored: u64,
-    backend: SimdBackend,
+    /// Whether full batches take [`avx2_batch`]: only ever `true` once
+    /// the host has passed the runtime AVX2 check.
+    avx2: bool,
+    fold: PhantomData<F>,
 }
 
-impl BatchAcc {
+impl<F: Fold> BatchAcc<F> {
     fn new(backend: SimdBackend) -> Self {
+        // `Avx2` is a public variant any caller can name, so confirm the
+        // host runs it here, once, rather than trust the caller.
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = backend == SimdBackend::Avx2 && std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = {
+            let _ = backend;
+            false
+        };
         BatchAcc {
             pred: [0; BATCH],
             act: [0; BATCH],
@@ -327,17 +242,8 @@ impl BatchAcc {
             predicted: 0,
             actual: 0,
             scored: 0,
-            backend,
-        }
-    }
-
-    #[inline(always)]
-    fn push(&mut self, predicted: u64, actual: u64) {
-        self.pred[self.fill] = predicted;
-        self.act[self.fill] = actual;
-        self.fill += 1;
-        if self.fill == BATCH {
-            self.flush();
+            avx2,
+            fold: PhantomData,
         }
     }
 
@@ -347,10 +253,9 @@ impl BatchAcc {
         self.fill = 0;
         self.scored += n as u64;
         #[cfg(target_arch = "x86_64")]
-        if self.backend == SimdBackend::Avx2 && n == BATCH {
-            // SAFETY: the Avx2 backend is only constructed after
-            // `is_x86_feature_detected!("avx2")` (or explicitly by tests
-            // on hosts that pass the same check via `detect_backend`).
+        if self.avx2 && n == BATCH {
+            // SAFETY: `avx2` is only set by `new` after
+            // `is_x86_feature_detected!("avx2")` passed on this host.
             let (tp, p, a) = unsafe { avx2_batch(&self.pred, &self.act) };
             self.tp += tp;
             self.predicted += p;
@@ -365,19 +270,20 @@ impl BatchAcc {
         }
     }
 
-    /// Recovers the full matrix from the three sums — the exact counter
-    /// algebra of the family evaluator.
-    fn finalize(mut self, nodes: usize) -> ConfusionMatrix {
+    fn finish(mut self, nodes: usize) -> ConfusionMatrix {
         self.flush();
-        let tp = self.tp;
-        let fp = self.predicted - tp;
-        let fn_ = self.actual - tp;
-        let decisions = self.scored * nodes as u64;
-        ConfusionMatrix {
-            tp,
-            fp,
-            fn_,
-            tn: decisions - tp - fp - fn_,
+        matrix_from_sums(self.tp, self.predicted, self.actual, self.scored, nodes)
+    }
+}
+
+impl<F: Fold> Accumulator for BatchAcc<F> {
+    #[inline(always)]
+    fn score<const D: usize>(&mut self, w: &Window<D>, actual: u64) {
+        self.pred[self.fill] = F::fold(w);
+        self.act[self.fill] = actual;
+        self.fill += 1;
+        if self.fill == BATCH {
+            self.flush();
         }
     }
 }
@@ -461,14 +367,10 @@ mod tests {
         nodes.iter().map(|&n| NodeId(n)).collect()
     }
 
-    /// Scalar always; the vector backend only where the host can run it.
+    /// Both backends, whatever the host: asking for `Avx2` where the
+    /// host lacks it must downgrade to scalar, not fault.
     fn testable_backends() -> Vec<SimdBackend> {
-        let mut backends = vec![SimdBackend::Scalar];
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            backends.push(SimdBackend::Avx2);
-        }
-        backends
+        vec![SimdBackend::Scalar, SimdBackend::Avx2]
     }
 
     /// Two writers alternating on one line plus a second independent

@@ -10,7 +10,7 @@
 
 use csp_core::{
     engine, run_scheme_simd, run_scheme_simd_with, IndexSpec, PredictionFunction, PredictorTable,
-    PreparedTrace, Scheme, SimdBackend, UpdateMode,
+    PreparedTrace, Scheme, SimdBackend, UpdateMode, MAX_DEPTH,
 };
 use csp_trace::{LineAddr, NodeId, Pc, SharingBitmap, SharingEvent, Trace};
 use proptest::collection::vec;
@@ -114,7 +114,7 @@ proptest! {
     #[test]
     fn prepared_family_matches_naive(
         raw in vec((0u64..4, any::<u8>(), any::<u32>(), any::<u8>(), any::<u8>()), 1..40),
-        max_depth in 1usize..=4,
+        max_depth in 1usize..=MAX_DEPTH,
     ) {
         let trace = build_trace(&raw);
         let prepared = PreparedTrace::new(&trace);
