@@ -68,7 +68,7 @@ fn bench_engine(c: &mut Criterion) {
     });
     // The simd engine scores one scheme per call, so it covers the same
     // union+inter x depth grid as the family sweep cell by cell — arena
-    // tables, slot-major windows, batched popcount accumulation. Each
+    // tables, dense slot windows, batched popcount accumulation. Each
     // decision is scored once per (function, depth) cell rather than
     // once per pass, so its element count scales accordingly.
     group.throughput(Throughput::Elements(events * (2 * MAX_DEPTH) as u64));

@@ -24,23 +24,20 @@
 //!   through the one-probe entry API ([`PredictorTable::update_and_predict`]
 //!   and friends). It serves every function, PAs included, and per-event
 //!   predictions ([`run_scheme`], [`predictions_for`]).
-//! * `slot_major` is the one scoring kernel for history functions: it
-//!   replays each predictor entry slot-major against a stack-local shift
-//!   window and hands every decision to an accumulator. The family
-//!   accumulator scores every `union`/`inter` depth in one pass
-//!   ([`run_history_family`], the design-space sweep's kernel); the
-//!   batched popcount accumulator scores one scheme's fold
-//!   ([`crate::run_scheme_simd`]).
+//! * `score_events` is the one scoring kernel for history functions: it
+//!   walks events in order over a flat array of shift windows indexed by
+//!   the key stream's dense slot ids (no hashing, no table) and hands
+//!   every decision to an accumulator. The family accumulator scores
+//!   every `union`/`inter` depth in one pass ([`run_history_family`], the
+//!   design-space sweep's kernel); the batched popcount accumulator
+//!   scores one scheme's fold ([`crate::run_scheme_simd`]).
 //!
 //! The `*_prepared` entry points share an explicit `PreparedTrace` across
 //! many schemes (the sweep case); the plain entry points prepare
 //! internally per call, so a single evaluation still pays resolution
 //! exactly once.
 
-use crate::simd::prefetch_next;
-use crate::{
-    IndexSpec, KeyStream, PredictorTable, PreparedTrace, Scheme, SlotOp, UpdateMode, MAX_DEPTH,
-};
+use crate::{IndexSpec, PredictorTable, PreparedTrace, Scheme, UpdateMode, MAX_DEPTH};
 use csp_metrics::ConfusionMatrix;
 use csp_trace::{SharingBitmap, Trace};
 
@@ -175,9 +172,9 @@ pub fn run_history_family_prepared(
     update: UpdateMode,
     max_depth: usize,
 ) -> FamilyResult {
-    let stream = prepared.key_stream(index);
-    let acc = slot_major(&stream, update, max_depth, FamilyAcc::new(prepared.nodes()));
-    acc.finish(max_depth, prepared.nodes())
+    let nodes = prepared.nodes();
+    let acc = score_events(prepared, index, update, max_depth, FamilyAcc::new(nodes));
+    acc.finish(max_depth, nodes)
 }
 
 /// A predictor entry's history as a linear shift window of raw bitmap
@@ -189,6 +186,7 @@ pub fn run_history_family_prepared(
 /// exactly the shallow-entry semantics with no occupancy count (union over
 /// everything stored; an intersection entry whose history is not yet full
 /// predicts nothing).
+#[derive(Clone, Copy)]
 pub(crate) struct Window<const D: usize> {
     pub(crate) bits: [u64; D],
 }
@@ -201,21 +199,25 @@ impl<const D: usize> Window<D> {
     }
 }
 
-/// What the slot-major kernel scores into: each decision arrives as the
+/// What the scoring kernel scores into: each decision arrives as the
 /// entry's window at prediction time plus the decision's actual bitmap.
 pub(crate) trait Accumulator {
     fn score<const D: usize>(&mut self, w: &Window<D>, actual: u64);
 }
 
-/// The slot-major scoring kernel behind [`run_history_family_prepared`]
-/// and [`crate::run_scheme_simd`]: feeds every decision of `update` over
-/// `stream` into `acc` with a `depth`-deep window.
+/// The scoring kernel behind [`run_history_family_prepared`] and
+/// [`crate::run_scheme_simd`]: feeds every decision of `update` over
+/// `prepared` under `index` into `acc` with a `depth`-deep window.
+///
+/// The depth is checked before the walk fetches the key stream, so a bad
+/// depth builds (and caches) nothing.
 ///
 /// # Panics
 ///
 /// Panics if `depth` is out of `1..=MAX_DEPTH`.
-pub(crate) fn slot_major<A: Accumulator>(
-    stream: &KeyStream,
+pub(crate) fn score_events<A: Accumulator>(
+    prepared: &PreparedTrace<'_>,
+    index: IndexSpec,
     update: UpdateMode,
     depth: usize,
     acc: A,
@@ -224,82 +226,69 @@ pub(crate) fn slot_major<A: Accumulator>(
     // the per-decision fold into a fixed-bound, fully unrollable loop
     // with no per-depth branches.
     match depth {
-        1 => walk::<1, A>(stream, update, acc),
-        2 => walk::<2, A>(stream, update, acc),
-        3 => walk::<3, A>(stream, update, acc),
-        4 => walk::<4, A>(stream, update, acc),
-        5 => walk::<5, A>(stream, update, acc),
-        6 => walk::<6, A>(stream, update, acc),
-        7 => walk::<7, A>(stream, update, acc),
-        8 => walk::<8, A>(stream, update, acc),
+        1 => walk::<1, A>(prepared, index, update, acc),
+        2 => walk::<2, A>(prepared, index, update, acc),
+        3 => walk::<3, A>(prepared, index, update, acc),
+        4 => walk::<4, A>(prepared, index, update, acc),
+        5 => walk::<5, A>(prepared, index, update, acc),
+        6 => walk::<6, A>(prepared, index, update, acc),
+        7 => walk::<7, A>(prepared, index, update, acc),
+        8 => walk::<8, A>(prepared, index, update, acc),
         _ => panic!("history depth must be in 1..={MAX_DEPTH}, got {depth}"),
     }
 }
 
-/// The slot-major walk at one const depth `D`.
+/// The event-order walk at one const depth `D`.
 ///
-/// Each predictor entry's interactions are replayed in event order
-/// against one stack-local [`Window`], so there is no table at all — no
-/// per-event hash probe, no random entry access — and the pre-gathered
-/// slot payloads make every read sequential, with the next slot's span
-/// prefetched while the current one scores. This visits exactly the entry
-/// states the event-order loop would (an entry's state depends only on
-/// earlier events touching the same slot), and the accumulated counts are
-/// order-independent sums, so the result is bit-identical to the
-/// event-order evaluation. A fresh (all-zero) window also scores exactly
+/// Every predictor entry is one [`Window`] in a flat array indexed by the
+/// key stream's dense slot ids, so there is no table at all: no per-event
+/// hash probe, just one array index per touched entry, and the per-event
+/// columns stream sequentially. A fresh (all-zero) window scores exactly
 /// like an absent table entry, matching the hashed create-on-update
-/// semantics.
-fn walk<const D: usize, A: Accumulator>(stream: &KeyStream, update: UpdateMode, mut acc: A) -> A {
-    let slots = stream.slot_count();
+/// semantics, so the result is bit-identical to the table-backed `drive`.
+fn walk<const D: usize, A: Accumulator>(
+    prepared: &PreparedTrace<'_>,
+    index: IndexSpec,
+    update: UpdateMode,
+    mut acc: A,
+) -> A {
+    let stream = prepared.key_stream(index);
+    let mut windows = vec![Window::<D> { bits: [0; D] }; stream.slot_count()];
+    let per_event = stream.slots().iter().zip(prepared.actuals());
+    let feedback = prepared.has_prev().iter().zip(prepared.invalidated());
     match update {
         UpdateMode::Direct => {
-            for slot in 0..slots {
-                if slot + 1 < slots {
-                    prefetch_next(stream.slot_data(slot + 1));
+            for ((&slot, actual), (&has_prev, inv)) in per_event.zip(feedback) {
+                let w = &mut windows[slot as usize];
+                if has_prev {
+                    w.push(inv.bits());
                 }
-                let mut w = Window::<D> { bits: [0; D] };
-                for d in stream.slot_data(slot) {
-                    if d.has_prev {
-                        w.push(d.feedback.bits());
-                    }
-                    acc.score(&w, d.actual.bits());
-                }
+                acc.score(w, actual.bits());
             }
         }
         UpdateMode::Ordered => {
-            for slot in 0..slots {
-                if slot + 1 < slots {
-                    prefetch_next(stream.slot_data(slot + 1));
-                }
-                let mut w = Window::<D> { bits: [0; D] };
-                for d in stream.slot_data(slot) {
-                    acc.score(&w, d.actual.bits());
-                    w.push(d.actual.bits());
-                }
+            for (&slot, actual) in per_event {
+                let w = &mut windows[slot as usize];
+                acc.score(w, actual.bits());
+                w.push(actual.bits());
             }
         }
-        // Forwarded events touch up to two slots (push via the forward
-        // key, score via their own), so this walks the stream's merged
-        // per-slot op sequence instead of its per-slot event list.
+        // The push goes in before the score: under a pure-address index
+        // the forward slot and the event's own slot are one entry.
         UpdateMode::Forwarded => {
-            for slot in 0..slots {
-                if slot + 1 < slots {
-                    prefetch_next(stream.slot_op_data(slot + 1));
+            let forward = stream.forward_slots().iter().zip(feedback);
+            for ((&slot, actual), (&fslot, (&has_prev, inv))) in per_event.zip(forward) {
+                if has_prev {
+                    windows[fslot as usize].push(inv.bits());
                 }
-                let mut w = Window::<D> { bits: [0; D] };
-                for (&op, &payload) in stream.slot_ops(slot).iter().zip(stream.slot_op_data(slot)) {
-                    match op {
-                        SlotOp::Push => w.push(payload.bits()),
-                        SlotOp::Score => acc.score(&w, payload.bits()),
-                    }
-                }
+                acc.score(&windows[slot as usize], actual.bits());
             }
         }
     }
     acc
 }
 
-/// The counter algebra both slot-major accumulators finish with: the full
+/// The counter algebra both accumulators finish with: the full
 /// matrix from the sums of `popcount(predicted & actual)`,
 /// `popcount(predicted)` and `popcount(actual)` over `scored` decisions,
 /// via `fp = predicted − tp`, `fn = actual − tp` and
@@ -614,6 +603,22 @@ mod tests {
         }
         // All schemes above share one index: one key stream serves them all.
         assert_eq!(prepared.cached_streams(), 1);
+    }
+
+    #[test]
+    fn bad_family_depth_panics_before_building_a_stream() {
+        let trace = alternating_trace(10);
+        let prepared = PreparedTrace::new(&trace);
+        let ix = IndexSpec::new(true, 4, false, 2);
+        let call = std::panic::AssertUnwindSafe(|| {
+            run_history_family_prepared(&prepared, ix, UpdateMode::Direct, MAX_DEPTH + 1)
+        });
+        let err = std::panic::catch_unwind(call).expect_err("depth 9 must panic");
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("formatted panic message");
+        assert_eq!(msg, "history depth must be in 1..=8, got 9");
+        assert_eq!(prepared.cached_streams(), 0);
     }
 
     #[test]

@@ -10,21 +10,21 @@
 //! per-event loop:
 //!
 //! * [`KeyStream`] — the predictor keys (and forward keys) of every event
-//!   under one [`IndexSpec`], as flat `Vec<u64>` columns, plus the
-//!   distinct-key counts that size predictor tables up front and the
-//!   slot-major payload columns (CSR over a dense slot remap of the keys)
-//!   that let the family and SIMD kernels replay each predictor entry
-//!   without any table at all;
+//!   under one [`IndexSpec`], as flat `Vec<u64>` columns, plus a dense
+//!   slot id per key (numbered by first appearance) that lets the scoring
+//!   kernel keep each predictor entry in a flat array instead of a table,
+//!   and the distinct-key counts that size predictor tables up front;
 //! * [`PreparedTrace`] — a [`ResolvedTrace`] (actuals / feedback /
 //!   previous-writer / forward-source columns, resolved once) plus a
 //!   concurrent cache of [`KeyStream`]s keyed by [`IndexSpec`], shared by
 //!   reference across every scheme in a sweep.
 //!
-//! A key-stream build hashes each event's predictor key once. Its forward
-//! key is, for every event the trace links to a forward source (see
-//! [`ResolvedTrace::forward_sources`]), the source's predictor key, so it
-//! is copied rather than hashed; only unlinked events (the first write of
-//! a line inside a window, hand-built traces) hash it.
+//! A key-stream build is one pass that hashes each event's predictor key
+//! once. Its forward key and slot are, for every event the trace links to
+//! a forward source (see [`ResolvedTrace::forward_sources`]), the
+//! source's predictor key and slot, so they are copied rather than
+//! hashed; only unlinked events (the first write of a line inside a
+//! window, hand-built traces) hash it.
 //!
 //! The prepared engine entry points
 //! ([`crate::engine::run_scheme_prepared`],
@@ -35,7 +35,6 @@
 use crate::hash::FxBuildHasher;
 use crate::IndexSpec;
 use csp_trace::{ResolvedTrace, SharingBitmap, Trace};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -66,38 +65,17 @@ pub struct KeyStream {
     index: IndexSpec,
     keys: Vec<u64>,
     forward_keys: Vec<u64>,
+    slots: Vec<u32>,
+    forward_slots: Vec<u32>,
+    slot_count: usize,
     distinct_keys: usize,
     distinct_forward_keys: usize,
-    slot_starts: Vec<u32>,
-    slot_data: Vec<SlotData>,
-    op_starts: Vec<u32>,
-    ops: Vec<SlotOp>,
-    op_data: Vec<SharingBitmap>,
 }
 
-/// Everything the slot-major family loop needs about one event, laid out
-/// in slot order so the hot loop streams through memory instead of
-/// chasing event indices back into the event-order columns.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SlotData {
-    /// The event's ground-truth actual bitmap (what to score, and the
-    /// *ordered*-update feedback).
-    pub actual: SharingBitmap,
-    /// The event's invalidation feedback (the *direct*-update feedback).
-    pub feedback: SharingBitmap,
-    /// Whether the event has a previous writer (gates the direct-update
-    /// push).
-    pub has_prev: bool,
-}
-
-/// One *forwarded*-update table interaction of [`KeyStream::slot_ops`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SlotOp {
-    /// Push an event's invalidation feedback through its forward key.
-    Push,
-    /// Predict through an event's own key and score against its actual.
-    Score,
-}
+/// Per-slot flag: some event's predictor key maps to the slot.
+const PREDICTOR: u8 = 1;
+/// Per-slot flag: some event's forward key maps to the slot.
+const FORWARD: u8 = 2;
 
 impl KeyStream {
     /// Computes the key columns of `trace` under `index`: resolves the
@@ -115,32 +93,36 @@ impl KeyStream {
     /// entry point [`PreparedTrace::key_stream`] uses so that one
     /// resolution pass serves every index of a sweep.
     ///
-    /// Two passes over the events. The first hashes each predictor key
-    /// once into a dense slot remap, takes each forward key from the
-    /// event's forward source (hashing [`IndexSpec::forward_key_of`] only
-    /// where there is none), and counts every slot's events and ops. The
-    /// second scatters the payloads straight into their CSR positions.
+    /// One pass over the events: it hashes each predictor key once into a
+    /// dense slot id, takes each forward key and slot from the event's
+    /// forward source (hashing [`IndexSpec::forward_key_of`] only where
+    /// there is none), and flags every slot as a predictor and/or forward
+    /// target for the distinct counts.
     pub fn compute_resolved(resolved: &ResolvedTrace<'_>, index: IndexSpec) -> Self {
         let events = resolved.trace().events();
-        let actuals = resolved.actuals();
-        let feedback = resolved.invalidated();
         let has_prev = resolved.has_prev();
         let sources = resolved.forward_sources();
         let node_bits = crate::index::node_bits(resolved.nodes());
         let n = events.len();
         let mut keys = Vec::with_capacity(n);
         let mut forward_keys = Vec::with_capacity(n);
-        // Event-order slot ids, only needed until the scatter below.
         let mut slots: Vec<u32> = Vec::with_capacity(n);
         let mut forward_slots: Vec<u32> = Vec::with_capacity(n);
-        let mut remap = SlotRemap::default();
+        // Both key kinds share one id space: a forwarded update and a
+        // later prediction through the same index value must land on the
+        // same entry.
+        let mut ids: HashMap<u64, u32, FxBuildHasher> = HashMap::default();
+        let mut intern = |key: u64| {
+            let next = ids.len() as u32;
+            *ids.entry(key).or_insert(next)
+        };
+        let mut flags: Vec<u8> = Vec::new();
         for (e, event) in events.iter().enumerate() {
             let key = index.key_of(event, node_bits);
-            let slot = remap.intern(key);
+            let slot = intern(key);
+            mark(&mut flags, slot, PREDICTOR);
             keys.push(key);
             slots.push(slot);
-            remap.counts[slot as usize].events += 1;
-            remap.counts[slot as usize].ops += 1;
             if !has_prev[e] {
                 // Never read: every consumer gates on `has_prev`.
                 forward_keys.push(0);
@@ -152,62 +134,24 @@ impl KeyStream {
                     let fkey = index
                         .forward_key_of(event, node_bits)
                         .expect("has_prev events have a previous writer");
-                    (fkey, remap.intern(fkey))
+                    (fkey, intern(fkey))
                 }
                 src => (keys[src as usize], slots[src as usize]),
             };
+            mark(&mut flags, fslot, FORWARD);
             forward_keys.push(fkey);
             forward_slots.push(fslot);
-            remap.counts[fslot as usize].ops += 1;
         }
-        let counts = remap.counts;
-        let distinct_keys = counts.iter().filter(|c| c.events > 0).count();
-        // A slot's ops beyond its own events' scores are forwarded pushes.
-        let distinct_forward = counts.iter().filter(|c| c.ops > c.events).count();
-        let slot_starts = prefix_sums(counts.iter().map(|c| c.events));
-        let op_starts = prefix_sums(counts.iter().map(|c| c.ops));
-        // Scatter in event order, so within a slot events stay in event
-        // order, and a forwarded event's push (through its forward slot)
-        // precedes its score (through its own) — exactly the event-order
-        // update-then-predict sequence.
-        let mut slot_cursor = slot_starts.clone();
-        let mut op_cursor = op_starts.clone();
-        let mut slot_data = vec![SlotData::default(); n];
-        // Every op starts as a score; the scatter marks the pushes.
-        let mut ops = vec![SlotOp::Score; op_starts[op_starts.len() - 1] as usize];
-        let mut op_data = vec![SharingBitmap::empty(); ops.len()];
-        let per_event = slots.iter().zip(&forward_slots).zip(has_prev);
-        for (((&s, &f), &has_prev), (&actual, &feedback)) in
-            per_event.zip(actuals.iter().zip(feedback))
-        {
-            let s = s as usize;
-            slot_data[slot_cursor[s] as usize] = SlotData {
-                actual,
-                feedback,
-                has_prev,
-            };
-            slot_cursor[s] += 1;
-            if has_prev {
-                let c = &mut op_cursor[f as usize];
-                ops[*c as usize] = SlotOp::Push;
-                op_data[*c as usize] = feedback;
-                *c += 1;
-            }
-            let c = &mut op_cursor[s];
-            op_data[*c as usize] = actual;
-            *c += 1;
-        }
+        let flagged = |flag: u8| flags.iter().filter(|&&f| f & flag != 0).count();
         KeyStream {
             index,
             keys,
             forward_keys,
-            distinct_keys,
-            distinct_forward_keys: distinct_forward,
-            slot_starts,
-            slot_data,
-            op_starts,
-            ops,
-            op_data,
+            slots,
+            forward_slots,
+            slot_count: flags.len(),
+            distinct_keys: flagged(PREDICTOR),
+            distinct_forward_keys: flagged(FORWARD),
         }
     }
 
@@ -225,11 +169,26 @@ impl KeyStream {
     }
 
     /// The forward key of every event ([`IndexSpec::forward_key_of`]), in
-    /// event order. A slot is meaningful only where the event has a
-    /// previous writer (see [`ResolvedTrace::has_prev`]); other slots are 0.
+    /// event order. A key is meaningful only where the event has a
+    /// previous writer (see [`ResolvedTrace::has_prev`]); the others are 0.
     #[inline]
     pub fn forward_keys(&self) -> &[u64] {
         &self.forward_keys
+    }
+
+    /// The dense slot id of every event's predictor key, in event order:
+    /// `keys()[i] == keys()[j]` iff `slots()[i] == slots()[j]`.
+    #[inline]
+    pub fn slots(&self) -> &[u32] {
+        &self.slots
+    }
+
+    /// The dense slot id of every event's forward key, in event order, in
+    /// the same id space as [`KeyStream::slots`]. Meaningful only where
+    /// the event has a previous writer; the others are 0.
+    #[inline]
+    pub fn forward_slots(&self) -> &[u32] {
+        &self.forward_slots
     }
 
     /// Number of events in the stream.
@@ -252,7 +211,7 @@ impl KeyStream {
     /// predictor key before its forward key.
     #[inline]
     pub fn slot_count(&self) -> usize {
-        self.slot_starts.len() - 1
+        self.slot_count
     }
 
     /// Number of distinct predictor keys the trace consults — the entry
@@ -269,82 +228,16 @@ impl KeyStream {
     pub fn distinct_forward_keys(&self) -> usize {
         self.distinct_forward_keys
     }
-
-    /// The actual, feedback and previous-writer flag of each event whose
-    /// predictor key maps to `slot`, in event order — the slot-major view
-    /// of the stream. An event's predictor-table interactions touch only
-    /// its own slot's entry (for `direct`/`ordered` updates), so a loop
-    /// over slots that replays each slot's events against one *local*
-    /// entry visits exactly the entry states the event-order loop would,
-    /// with the entry register-resident instead of randomly probed.
-    #[inline]
-    pub fn slot_data(&self, slot: usize) -> &[SlotData] {
-        &self.slot_data[self.slot_starts[slot] as usize..self.slot_starts[slot + 1] as usize]
-    }
-
-    /// The table interactions targeting `slot` under *forwarded* update,
-    /// in event order. A forwarded event touches up to two slots (a push
-    /// via its forward key, a score via its own), so the slot-major view
-    /// needs this merged sequence rather than [`KeyStream::slot_data`].
-    #[inline]
-    pub fn slot_ops(&self, slot: usize) -> &[SlotOp] {
-        &self.ops[self.op_starts[slot] as usize..self.op_starts[slot + 1] as usize]
-    }
-
-    /// The payloads of [`KeyStream::slot_ops`], parallel to them: a push
-    /// op's invalidation feedback, or a score op's actual bitmap.
-    #[inline]
-    pub fn slot_op_data(&self, slot: usize) -> &[SharingBitmap] {
-        &self.op_data[self.op_starts[slot] as usize..self.op_starts[slot + 1] as usize]
-    }
 }
 
-/// Dense slot ids over the union of a stream's predictor and forward
-/// keys, plus the per-slot counts its CSR columns are sized from. Both
-/// key kinds share one id space: a forwarded update and a later
-/// prediction through the same index value must land on the same entry.
-#[derive(Default)]
-struct SlotRemap {
-    ids: HashMap<u64, u32, FxBuildHasher>,
-    counts: Vec<SlotCounts>,
-}
-
-/// What one slot holds, counted while the slot ids are assigned.
-#[derive(Clone, Copy, Default)]
-struct SlotCounts {
-    /// Events whose predictor key maps here.
-    events: u32,
-    /// Forwarded-update ops targeting the slot: one score per event
-    /// above, plus one push per event whose forward key maps here.
-    ops: u32,
-}
-
-impl SlotRemap {
-    /// The slot id of `key`, assigning the next id on first sight.
-    #[inline]
-    fn intern(&mut self, key: u64) -> u32 {
-        let next = self.counts.len() as u32;
-        match self.ids.entry(key) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(v) => {
-                self.counts.push(SlotCounts::default());
-                *v.insert(next)
-            }
-        }
+/// Sets `flag` on `slot`; slot ids are assigned densely in order, so a
+/// slot past the end of `flags` is the next new one.
+#[inline]
+fn mark(flags: &mut Vec<u8>, slot: u32, flag: u8) {
+    match flags.get_mut(slot as usize) {
+        Some(f) => *f |= flag,
+        None => flags.push(flag),
     }
-}
-
-/// CSR offsets of per-slot `counts`: `starts[s]..starts[s + 1]` is slot
-/// `s`'s range.
-fn prefix_sums(counts: impl ExactSizeIterator<Item = u32>) -> Vec<u32> {
-    let mut starts = Vec::with_capacity(counts.len() + 1);
-    let mut total = 0u32;
-    starts.push(0);
-    for c in counts {
-        total += c;
-        starts.push(total);
-    }
-    starts
 }
 
 /// A trace prepared for repeated evaluation: ground truth resolved once,

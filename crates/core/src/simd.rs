@@ -17,14 +17,13 @@
 //! per-event [`ConfusionMatrix::record`] calls.
 //!
 //! [`run_scheme_simd`] feeds that batched accumulator from the engine's
-//! slot-major scoring kernel, the same walk, window and depth dispatch
-//! the family evaluator ([`crate::engine::run_history_family_prepared`])
-//! runs: each predictor entry's interactions replay in event order
-//! against one stack-local shift window, so the hot loop does no hashing
-//! and no table probe at all, and a software prefetch of the next slot's
-//! payload span hides the stream latency behind the current batch. PAs
-//! schemes are control-flow-bound, not popcount-bound; they fall back to
-//! the prepared evaluator unchanged.
+//! one scoring kernel, the same walk, window and depth dispatch the
+//! family evaluator ([`crate::engine::run_history_family_prepared`])
+//! runs: events replay in order against a flat array of shift windows
+//! indexed by the key stream's dense slot ids, so the hot loop does no
+//! hashing and no table probe at all. PAs schemes are control-flow-bound,
+//! not popcount-bound; they fall back to the prepared evaluator
+//! unchanged.
 //!
 //! The vector path is selected at runtime with
 //! `is_x86_feature_detected!("avx2")`; every other build (or
@@ -38,8 +37,8 @@
 
 #![allow(unsafe_code)]
 
-use crate::engine::{matrix_from_sums, slot_major, Accumulator, Window};
-use crate::{KeyStream, PredictionFunction, PreparedTrace, Scheme, UpdateMode};
+use crate::engine::{matrix_from_sums, score_events, Accumulator, Window};
+use crate::{PredictionFunction, PreparedTrace, Scheme};
 use csp_metrics::ConfusionMatrix;
 use std::marker::PhantomData;
 
@@ -98,30 +97,27 @@ pub fn run_scheme_simd_with(
         // PAs: per-reader counter state, no bitmap fold to vectorize.
         return crate::engine::run_scheme_prepared(prepared, scheme);
     }
-    let stream = prepared.key_stream(scheme.index);
-    let (update, depth, nodes) = (scheme.update, scheme.depth, prepared.nodes());
+    let depth = scheme.depth;
     match scheme.function {
-        PredictionFunction::Last => batched::<LastFold>(&stream, update, depth, backend, nodes),
-        PredictionFunction::Union => batched::<UnionFold>(&stream, update, depth, backend, nodes),
-        PredictionFunction::Inter => batched::<InterFold>(&stream, update, depth, backend, nodes),
+        PredictionFunction::Last => batched::<LastFold>(prepared, scheme, depth, backend),
+        PredictionFunction::Union => batched::<UnionFold>(prepared, scheme, depth, backend),
+        PredictionFunction::Inter => batched::<InterFold>(prepared, scheme, depth, backend),
         // Same effective ring depth the table constructor uses.
-        PredictionFunction::OverlapLast => {
-            batched::<OverlapFold>(&stream, update, 2, backend, nodes)
-        }
+        PredictionFunction::OverlapLast => batched::<OverlapFold>(prepared, scheme, 2, backend),
         PredictionFunction::Pas => unreachable!("handled by the prepared fallback above"),
     }
 }
 
-/// One history scheme through the slot-major kernel and the batched
-/// accumulator, folding each window with `F`.
+/// One history scheme through the scoring kernel and the batched
+/// accumulator, folding each `depth`-deep window with `F`.
 fn batched<F: Fold>(
-    stream: &KeyStream,
-    update: UpdateMode,
+    prepared: &PreparedTrace<'_>,
+    scheme: &Scheme,
     depth: usize,
     backend: SimdBackend,
-    nodes: usize,
 ) -> ConfusionMatrix {
-    slot_major(stream, update, depth, BatchAcc::<F>::new(backend)).finish(nodes)
+    let acc = BatchAcc::<F>::new(backend);
+    score_events(prepared, scheme.index, scheme.update, depth, acc).finish(prepared.nodes())
 }
 
 /// One prediction function's fold over a shift window.
@@ -182,25 +178,6 @@ impl Fold for OverlapFold {
             0
         }
     }
-}
-
-/// Requests the head of the next slot's pre-gathered payload span into
-/// cache while the current slot is still scoring. A miss costs nothing
-/// (prefetch is a hint and any address is allowed); given an empty slice
-/// it issues no hint.
-#[inline(always)]
-pub(crate) fn prefetch_next<T>(upcoming: &[T]) {
-    #[cfg(target_arch = "x86_64")]
-    if let Some(first) = upcoming.first() {
-        // SAFETY: prefetch performs no memory access; the pointer is a
-        // valid in-bounds reference anyway.
-        unsafe {
-            use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch::<_MM_HINT_T0>(first as *const T as *const i8);
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = upcoming;
 }
 
 /// Decisions per accumulator flush: two 256-bit vectors of packed

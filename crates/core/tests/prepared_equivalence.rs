@@ -157,7 +157,7 @@ proptest! {
         }
     }
 
-    /// The SIMD engine (arena tables, slot-major windows, batched
+    /// The SIMD engine (arena tables, dense slot windows, batched
     /// popcount accumulation, runtime-dispatched backend) is
     /// bit-identical to naive across every scheme family, update mode,
     /// and index point, on random consistent traces.

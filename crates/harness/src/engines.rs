@@ -88,10 +88,11 @@ impl Engine for PreparedEngine {
     }
 }
 
-/// The SIMD-batched prepared path (PR 8): flat open-addressing arena
-/// tables, slot-major history windows, and confusion counts accumulated
-/// in 8-wide popcount batches (AVX2 when the host has it, bit-identical
-/// scalar fallback otherwise — see [`csp_core::simd`]).
+/// The SIMD-batched prepared path: history windows indexed by the key
+/// stream's dense slot ids, and confusion counts accumulated in 8-wide
+/// popcount batches (AVX2 when the host has it, bit-identical scalar
+/// fallback otherwise — see [`csp_core::simd`]). PAs schemes fall back to
+/// the prepared path's arena tables.
 pub struct SimdEngine;
 
 impl Engine for SimdEngine {

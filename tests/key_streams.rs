@@ -1,8 +1,9 @@
 //! Key streams on traces whose same-line links break.
 //!
-//! A key-stream build copies an event's forward key from its forward
-//! source (the previous event on its line, when that event's writer, pc
-//! and home are the ones the event names as its previous writer) and
+//! A key-stream build copies an event's forward key and slot from its
+//! forward source (the previous event on its line, when that event's
+//! writer, pc and home are the ones the event names as its previous
+//! writer) and
 //! hashes `forward_key_of` only where that link is missing or does not
 //! match. These tests pin every column of the stream against a reference
 //! built from per-event `key_of`/`forward_key_of` alone, on the traces
@@ -10,7 +11,7 @@
 //! a writer outside the window), line filters, hand-built mismatches,
 //! and random traces cut by random windows.
 
-use csp::core::{node_bits, IndexSpec, KeyStream, PreparedTrace, SlotData, SlotOp};
+use csp::core::{node_bits, IndexSpec, KeyStream, PreparedTrace};
 use csp::trace::{LineAddr, NodeId, Pc, ResolvedTrace, SharingBitmap, SharingEvent, Trace};
 use csp::workloads::{generate_benchmark, Benchmark};
 use proptest::collection::vec;
@@ -19,89 +20,65 @@ use std::collections::{HashMap, HashSet};
 
 /// The stream a key-stream build must produce, derived event by event.
 /// Slot ids number the distinct keys in order of first appearance, an
-/// event's predictor key before its forward key.
+/// event's predictor key before its forward key; an event without a
+/// previous writer has forward key and forward slot 0.
 #[derive(Debug, PartialEq)]
 struct Reference {
     keys: Vec<u64>,
     forward_keys: Vec<u64>,
+    slots: Vec<u32>,
+    forward_slots: Vec<u32>,
+    slot_count: usize,
     distinct_keys: usize,
     distinct_forward_keys: usize,
-    slot_data: Vec<Vec<SlotData>>,
-    slot_ops: Vec<Vec<(SlotOp, SharingBitmap)>>,
 }
 
 fn reference(trace: &Trace, index: IndexSpec) -> Reference {
     let nb = node_bits(trace.nodes());
-    let actuals = trace.resolve_actuals();
-    let mut ids: HashMap<u64, usize> = HashMap::new();
-    let mut slot_data: Vec<Vec<SlotData>> = Vec::new();
-    let mut slot_ops: Vec<Vec<(SlotOp, SharingBitmap)>> = Vec::new();
-    let mut slot_of = |key: u64, data: &mut Vec<Vec<SlotData>>| -> usize {
-        let next = ids.len();
-        *ids.entry(key).or_insert_with(|| {
-            data.push(Vec::new());
-            slot_ops.push(Vec::new());
-            next
-        })
+    let mut ids: HashMap<u64, u32> = HashMap::new();
+    let mut slot_of = |key: u64| {
+        let next = ids.len() as u32;
+        *ids.entry(key).or_insert(next)
     };
-    let mut ops: Vec<(usize, SlotOp, SharingBitmap)> = Vec::new();
     let (mut keys, mut forward_keys) = (Vec::new(), Vec::new());
-    for (i, e) in trace.events().iter().enumerate() {
+    let (mut slots, mut forward_slots) = (Vec::new(), Vec::new());
+    for e in trace.events() {
         let key = index.key_of(e, nb);
-        let slot = slot_of(key, &mut slot_data);
         keys.push(key);
-        match index.forward_key_of(e, nb) {
-            Some(fkey) => {
-                let fslot = slot_of(fkey, &mut slot_data);
-                forward_keys.push(fkey);
-                ops.push((fslot, SlotOp::Push, e.invalidated));
-            }
-            None => forward_keys.push(0),
-        }
-        slot_data[slot].push(SlotData {
-            actual: actuals[i],
-            feedback: e.invalidated,
-            has_prev: e.prev_writer.is_some(),
-        });
-        ops.push((slot, SlotOp::Score, actuals[i]));
+        slots.push(slot_of(key));
+        let (fkey, fslot) = match index.forward_key_of(e, nb) {
+            Some(fkey) => (fkey, slot_of(fkey)),
+            None => (0, 0),
+        };
+        forward_keys.push(fkey);
+        forward_slots.push(fslot);
     }
-    for (slot, op, payload) in ops {
-        slot_ops[slot].push((op, payload));
-    }
-    let distinct_keys = keys.iter().collect::<HashSet<_>>().len();
-    let distinct_forward_keys = trace
+    let key_set: HashSet<u64> = keys.iter().copied().collect();
+    let forward_set: HashSet<u64> = trace
         .events()
         .iter()
         .filter_map(|e| index.forward_key_of(e, nb))
-        .collect::<HashSet<_>>()
-        .len();
+        .collect();
     Reference {
         keys,
         forward_keys,
-        distinct_keys,
-        distinct_forward_keys,
-        slot_data,
-        slot_ops,
+        slots,
+        forward_slots,
+        slot_count: key_set.union(&forward_set).count(),
+        distinct_keys: key_set.len(),
+        distinct_forward_keys: forward_set.len(),
     }
 }
 
 fn observed(stream: &KeyStream) -> Reference {
-    let slots = 0..stream.slot_count();
     Reference {
         keys: stream.keys().to_vec(),
         forward_keys: stream.forward_keys().to_vec(),
+        slots: stream.slots().to_vec(),
+        forward_slots: stream.forward_slots().to_vec(),
+        slot_count: stream.slot_count(),
         distinct_keys: stream.distinct_keys(),
         distinct_forward_keys: stream.distinct_forward_keys(),
-        slot_data: slots
-            .clone()
-            .map(|s| stream.slot_data(s).to_vec())
-            .collect(),
-        slot_ops: slots
-            .map(|s| {
-                let ops = stream.slot_ops(s).iter().copied();
-                ops.zip(stream.slot_op_data(s).iter().copied()).collect()
-            })
-            .collect(),
     }
 }
 
