@@ -1,11 +1,10 @@
 //! `csp-bar` — the benchmark barometer.
 //!
-//! The workspace has grown several execution engines for the paper's
-//! pattern-based predictors (frozen-naive, prepared single-pass,
-//! sharded serving), but for a long time only a single committed perf
-//! point (`BENCH_engine.json`) and one hardcoded CI ratio check stood
-//! between a speedup on one path and a silent slowdown on another.
-//! This crate is the rebar-style answer:
+//! The workspace scores the paper's pattern-based predictors on three
+//! code paths (the independent reference, the prepared offline engine,
+//! sharded serving). A single committed perf point and one hardcoded CI
+//! ratio check cannot tell a speedup on one path from a silent slowdown
+//! on another. This crate is the rebar-style answer:
 //!
 //! * [`defs`] — declarative benchmark definitions enumerating the
 //!   (workload x scheme x engine) matrix, run parameters, and the
@@ -27,12 +26,11 @@
 //!   p50/p99 table), and `check` (the generalized regression gate:
 //!   per-cell thresholds from the definitions file over
 //!   machine-relative ratios, plus declared minimum-ratio gates such
-//!   as the prepared-vs-naive and simd-vs-prepared >= 2x floors).
+//!   as the prepared-vs-naive floor).
 //!
 //! The `csp-bar` binary exposes `run`, `diff`, `rank`, `history`,
-//! `check`, `import` (migration of legacy `BENCH_engine.json` single
-//! points into the trajectory), and `prune` (atomic rewrite keeping
-//! only the newest N records per cell, bounding committed file growth).
+//! `check`, and `prune` (atomic rewrite keeping only the newest N
+//! records per cell, bounding committed file growth).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,9 +7,7 @@
 //! run** against the committed relative throughput in the trajectory.
 //! A slower CI runner shifts every cell together and trips nothing; a
 //! real regression of one path moves that cell's ratio and fails its
-//! declared threshold. This generalizes the historical
-//! `csp-repro --bench-check` 2x/20% rule from one number to the whole
-//! matrix.
+//! declared threshold.
 
 use crate::record::BarRecord;
 use crate::{BarDefs, CellKey};
@@ -620,9 +618,13 @@ mod tests {
         }
     }
 
+    /// The built-in matrix with fixed gates, independent of the floor
+    /// `benchmarks.bar` re-derives from each committed run: the fixtures
+    /// below sit at 3x prepared/naive.
     fn gated_defs() -> BarDefs {
         let mut d = BarDefs::builtin();
         d.default_regression = 0.2;
+        d.ratio_gates[0].min = 2.0;
         d
     }
 

@@ -251,7 +251,7 @@ mod tests {
         let defs = tiny_defs();
         let mut lines = 0;
         let records = run_matrix(&suite, &defs, &meta(), |_| lines += 1).expect("runs");
-        assert_eq!(records.len(), 2 * 2 * 4);
+        assert_eq!(records.len(), 2 * 2 * 3);
         assert_eq!(lines, records.len());
         let fingerprint = defs.fingerprint();
         for r in &records {
@@ -271,8 +271,7 @@ mod tests {
         // Engine order inside each cell follows the definitions.
         assert_eq!(records[0].engine, "naive");
         assert_eq!(records[1].engine, "prepared");
-        assert_eq!(records[2].engine, "simd");
-        assert_eq!(records[3].engine, "sharded");
+        assert_eq!(records[2].engine, "sharded");
     }
 
     #[test]

@@ -16,30 +16,40 @@
 //!   later prediction through that entry sees this feedback, the oracle
 //!   ordering of Figure 4.
 //!
-//! Two loops evaluate schemes, both over the flat columns of a
-//! [`PreparedTrace`] (ground-truth actuals resolved once, per-index key
-//! streams computed once) and bit-identical to each other:
+//! Both evaluation loops walk the flat columns of a [`PreparedTrace`]
+//! (ground-truth actuals resolved once, per-index key streams computed
+//! once), one per family of prediction functions:
 //!
-//! * `drive` walks events in order and touches a real predictor table
-//!   through the one-probe entry API ([`PredictorTable::update_and_predict`]
-//!   and friends). It serves every function, PAs included, and per-event
-//!   predictions ([`run_scheme`], [`predictions_for`]).
-//! * `score_events` is the one scoring kernel for history functions: it
-//!   walks events in order over a flat array of shift windows indexed by
-//!   the key stream's dense slot ids (no hashing, no table) and hands
-//!   every decision to an accumulator. The family accumulator scores
-//!   every `union`/`inter` depth in one pass ([`run_history_family`], the
+//! * `score_events` is the one evaluator of the history functions
+//!   (`last`, `union`, `inter`, `overlap-last`). It walks events in order
+//!   over a flat array of shift windows indexed by the key stream's dense
+//!   slot ids (no hashing, no table) and hands every decision to an
+//!   accumulator: the per-depth family counters score every
+//!   `union`/`inter` depth in one pass ([`run_history_family`], the
 //!   design-space sweep's kernel); the batched popcount accumulator
-//!   scores one scheme's fold ([`crate::run_scheme_simd`]).
+//!   scores one scheme ([`run_scheme`]; its batches are summed by
+//!   [`crate::simd`]); the visiting accumulator records each event's
+//!   prediction ([`predictions_for`]).
+//! * `drive` evaluates PAs, whose per-reader counters are
+//!   control-flow-bound rather than a bitmap fold: it walks events in
+//!   order through a real predictor table with the one-probe entry API
+//!   ([`PredictorTable::update_and_predict`] and friends).
+//!
+//! [`crate::reference`] spells the same semantics out with none of this
+//! machinery and is the oracle the equivalence tests hold both loops to.
 //!
 //! The `*_prepared` entry points share an explicit `PreparedTrace` across
 //! many schemes (the sweep case); the plain entry points prepare
 //! internally per call, so a single evaluation still pays resolution
 //! exactly once.
 
-use crate::{IndexSpec, PredictorTable, PreparedTrace, Scheme, UpdateMode, MAX_DEPTH};
+use crate::simd::{detect_backend, Popcount, SimdBackend, BATCH};
+use crate::{
+    IndexSpec, PredictionFunction, PredictorTable, PreparedTrace, Scheme, UpdateMode, MAX_DEPTH,
+};
 use csp_metrics::ConfusionMatrix;
 use csp_trace::{SharingBitmap, Trace};
+use std::marker::PhantomData;
 
 /// Runs `scheme` over `trace`, scoring every decision.
 ///
@@ -57,12 +67,42 @@ pub fn run_scheme(trace: &Trace, scheme: &Scheme) -> ConfusionMatrix {
 /// Bit-identical to [`run_scheme`]; the actuals and the key stream come
 /// from `prepared`'s shared columns instead of being recomputed.
 pub fn run_scheme_prepared(prepared: &PreparedTrace<'_>, scheme: &Scheme) -> ConfusionMatrix {
-    let mut matrix = ConfusionMatrix::default();
-    let nodes = prepared.nodes();
-    drive(prepared, scheme, |_, predicted, actual| {
-        matrix.record(predicted, actual, nodes);
-    });
-    matrix
+    run_scheme_with(prepared, scheme, detect_backend())
+}
+
+/// [`run_scheme_prepared`] with an explicit popcount backend for the
+/// history functions (see [`crate::run_scheme_simd_with`]).
+pub(crate) fn run_scheme_with(
+    prepared: &PreparedTrace<'_>,
+    scheme: &Scheme,
+    backend: SimdBackend,
+) -> ConfusionMatrix {
+    match scheme.function {
+        PredictionFunction::Last => batched::<LastFold>(prepared, scheme, backend),
+        PredictionFunction::Union => batched::<UnionFold>(prepared, scheme, backend),
+        PredictionFunction::Inter => batched::<InterFold>(prepared, scheme, backend),
+        PredictionFunction::OverlapLast => batched::<OverlapFold>(prepared, scheme, backend),
+        PredictionFunction::Pas => {
+            let nodes = prepared.nodes();
+            let mut matrix = ConfusionMatrix::default();
+            drive(prepared, scheme, |predicted, actual| {
+                matrix.record(predicted, actual, nodes);
+            });
+            matrix
+        }
+    }
+}
+
+/// One history scheme through the scoring kernel and the batched
+/// popcount accumulator, folding each window with `F`.
+fn batched<F: Fold>(
+    prepared: &PreparedTrace<'_>,
+    scheme: &Scheme,
+    backend: SimdBackend,
+) -> ConfusionMatrix {
+    let acc = BatchAcc::<F>::new(backend);
+    let depth = F::window(scheme);
+    score_events(prepared, scheme.index, scheme.update, depth, acc).finish(prepared.nodes())
 }
 
 /// Runs `scheme` over `trace` and returns the per-event predictions
@@ -77,21 +117,36 @@ pub fn predictions_for_prepared(
     prepared: &PreparedTrace<'_>,
     scheme: &Scheme,
 ) -> Vec<SharingBitmap> {
-    let mut out = vec![SharingBitmap::empty(); prepared.len()];
-    drive(prepared, scheme, |i, predicted, _| {
-        out[i] = predicted;
-    });
-    out
+    match scheme.function {
+        PredictionFunction::Last => visited::<LastFold>(prepared, scheme),
+        PredictionFunction::Union => visited::<UnionFold>(prepared, scheme),
+        PredictionFunction::Inter => visited::<InterFold>(prepared, scheme),
+        PredictionFunction::OverlapLast => visited::<OverlapFold>(prepared, scheme),
+        PredictionFunction::Pas => {
+            let mut out = Vec::with_capacity(prepared.len());
+            drive(prepared, scheme, |predicted, _| out.push(predicted));
+            out
+        }
+    }
 }
 
-/// The single evaluation loop: calls `visit(event_index, predicted,
-/// actual)` for every event in order, walking the prepared columns with
-/// one table probe per entry touched.
-fn drive<F: FnMut(usize, SharingBitmap, SharingBitmap)>(
+/// One history scheme's per-event predictions through the scoring
+/// kernel and the visiting accumulator, folding each window with `F`.
+fn visited<F: Fold>(prepared: &PreparedTrace<'_>, scheme: &Scheme) -> Vec<SharingBitmap> {
+    let acc = Visit::<F>::with_capacity(prepared.len());
+    let depth = F::window(scheme);
+    score_events(prepared, scheme.index, scheme.update, depth, acc).predictions
+}
+
+/// The PAs evaluation loop: calls `visit(predicted, actual)` for every
+/// event in order, walking the prepared columns with one table probe per
+/// entry touched.
+fn drive<F: FnMut(SharingBitmap, SharingBitmap)>(
     prepared: &PreparedTrace<'_>,
     scheme: &Scheme,
     mut visit: F,
 ) {
+    debug_assert_eq!(scheme.function, PredictionFunction::Pas);
     let stream = prepared.key_stream(scheme.index);
     let keys = stream.keys();
     let forward_keys = stream.forward_keys();
@@ -126,7 +181,7 @@ fn drive<F: FnMut(usize, SharingBitmap, SharingBitmap)>(
             }
             UpdateMode::Ordered => table.predict_and_update(key, actuals[i]),
         };
-        visit(i, predicted, actuals[i]);
+        visit(predicted, actuals[i]);
     }
 }
 
@@ -187,8 +242,8 @@ pub fn run_history_family_prepared(
 /// everything stored; an intersection entry whose history is not yet full
 /// predicts nothing).
 #[derive(Clone, Copy)]
-pub(crate) struct Window<const D: usize> {
-    pub(crate) bits: [u64; D],
+struct Window<const D: usize> {
+    bits: [u64; D],
 }
 
 impl<const D: usize> Window<D> {
@@ -201,12 +256,11 @@ impl<const D: usize> Window<D> {
 
 /// What the scoring kernel scores into: each decision arrives as the
 /// entry's window at prediction time plus the decision's actual bitmap.
-pub(crate) trait Accumulator {
+trait Accumulator {
     fn score<const D: usize>(&mut self, w: &Window<D>, actual: u64);
 }
 
-/// The scoring kernel behind [`run_history_family_prepared`] and
-/// [`crate::run_scheme_simd`]: feeds every decision of `update` over
+/// The scoring kernel behind every history-function evaluation: feeds every decision of `update` over
 /// `prepared` under `index` into `acc` with a `depth`-deep window.
 ///
 /// The depth is checked before the walk fetches the key stream, so a bad
@@ -215,7 +269,7 @@ pub(crate) trait Accumulator {
 /// # Panics
 ///
 /// Panics if `depth` is out of `1..=MAX_DEPTH`.
-pub(crate) fn score_events<A: Accumulator>(
+fn score_events<A: Accumulator>(
     prepared: &PreparedTrace<'_>,
     index: IndexSpec,
     update: UpdateMode,
@@ -288,14 +342,14 @@ fn walk<const D: usize, A: Accumulator>(
     acc
 }
 
-/// The counter algebra both accumulators finish with: the full
+/// The counter algebra the matrix accumulators finish with: the full
 /// matrix from the sums of `popcount(predicted & actual)`,
 /// `popcount(predicted)` and `popcount(actual)` over `scored` decisions,
 /// via `fp = predicted − tp`, `fn = actual − tp` and
 /// `tn = scored·nodes − tp − fp − fn`. These are exact integer identities
 /// over the same per-event popcounts [`ConfusionMatrix::record`] sums, so
 /// the matrix is bit-identical to per-event `record` calls.
-pub(crate) fn matrix_from_sums(
+fn matrix_from_sums(
     tp: u64,
     predicted: u64,
     actual: u64,
@@ -370,10 +424,167 @@ impl Accumulator for FamilyAcc {
     }
 }
 
+/// One prediction function's fold over a shift window.
+trait Fold {
+    /// The window depth the function folds for `scheme`.
+    fn window(scheme: &Scheme) -> usize {
+        scheme.depth
+    }
+    fn fold<const D: usize>(w: &Window<D>) -> u64;
+}
+
+/// `last`: the newest stored bitmap (zero while cold — a cold entry
+/// predicts nothing, and a stored empty feedback predicts empty either
+/// way).
+struct LastFold;
+impl Fold for LastFold {
+    #[inline(always)]
+    fn fold<const D: usize>(w: &Window<D>) -> u64 {
+        w.bits[0]
+    }
+}
+
+/// `union(D)`: OR over the window; zero padding is the fold identity.
+struct UnionFold;
+impl Fold for UnionFold {
+    #[inline(always)]
+    fn fold<const D: usize>(w: &Window<D>) -> u64 {
+        let mut acc = 0;
+        for d in 0..D {
+            acc |= w.bits[d];
+        }
+        acc
+    }
+}
+
+/// `inter(D)`: AND over the window; a not-yet-full history still holds a
+/// zero slot, so the fold is empty exactly when
+/// [`crate::HistoryEntry::inter`] abstains.
+struct InterFold;
+impl Fold for InterFold {
+    #[inline(always)]
+    fn fold<const D: usize>(w: &Window<D>) -> u64 {
+        let mut acc = w.bits[0];
+        for d in 1..D {
+            acc &= w.bits[d];
+        }
+        acc
+    }
+}
+
+/// `overlap-last`: predict the newest bitmap only if it overlaps the one
+/// before it. With fewer than two stored bitmaps the older slot is zero,
+/// the overlap test fails, and the fold abstains — matching
+/// [`crate::HistoryEntry::overlap_last`].
+struct OverlapFold;
+impl Fold for OverlapFold {
+    /// Two stored bitmaps whatever the scheme's depth, the same ring the
+    /// table constructor gives `overlap-last`.
+    fn window(_: &Scheme) -> usize {
+        2
+    }
+
+    #[inline(always)]
+    fn fold<const D: usize>(w: &Window<D>) -> u64 {
+        if w.bits[0] & w.bits[1] != 0 {
+            w.bits[0]
+        } else {
+            0
+        }
+    }
+}
+
+/// The batched confusion accumulator: buffers `(F::fold(window), actual)`
+/// bit pairs and sums full batches of [`BATCH`] into the three popcounts
+/// through [`Popcount`] (AVX2 when the backend and host allow it). Integer
+/// sums are order- and grouping-independent, so the result is
+/// bit-identical to per-event [`ConfusionMatrix::record`] calls.
+struct BatchAcc<F> {
+    pred: [u64; BATCH],
+    act: [u64; BATCH],
+    fill: usize,
+    tp: u64,
+    predicted: u64,
+    actual: u64,
+    scored: u64,
+    popcount: Popcount,
+    fold: PhantomData<F>,
+}
+
+impl<F: Fold> BatchAcc<F> {
+    fn new(backend: SimdBackend) -> Self {
+        BatchAcc {
+            pred: [0; BATCH],
+            act: [0; BATCH],
+            fill: 0,
+            tp: 0,
+            predicted: 0,
+            actual: 0,
+            scored: 0,
+            popcount: Popcount::new(backend),
+            fold: PhantomData,
+        }
+    }
+
+    #[inline]
+    fn flush(&mut self) {
+        let (tp, predicted, actual) = self.popcount.sums(&self.pred, &self.act);
+        self.tp += tp;
+        self.predicted += predicted;
+        self.actual += actual;
+        self.scored += self.fill as u64;
+        self.fill = 0;
+    }
+
+    fn finish(mut self, nodes: usize) -> ConfusionMatrix {
+        // Zeroed lanes add nothing to any of the three sums.
+        self.pred[self.fill..].fill(0);
+        self.act[self.fill..].fill(0);
+        self.flush();
+        matrix_from_sums(self.tp, self.predicted, self.actual, self.scored, nodes)
+    }
+}
+
+impl<F: Fold> Accumulator for BatchAcc<F> {
+    #[inline(always)]
+    fn score<const D: usize>(&mut self, w: &Window<D>, actual: u64) {
+        self.pred[self.fill] = F::fold(w);
+        self.act[self.fill] = actual;
+        self.fill += 1;
+        if self.fill == BATCH {
+            self.flush();
+        }
+    }
+}
+
+/// The visiting accumulator: records each decision's fold as its event's
+/// prediction. The kernel scores every event exactly once, in event
+/// order, so the `i`-th push is event `i`'s prediction.
+struct Visit<F> {
+    predictions: Vec<SharingBitmap>,
+    fold: PhantomData<F>,
+}
+
+impl<F: Fold> Visit<F> {
+    fn with_capacity(events: usize) -> Self {
+        Visit {
+            predictions: Vec::with_capacity(events),
+            fold: PhantomData,
+        }
+    }
+}
+
+impl<F: Fold> Accumulator for Visit<F> {
+    #[inline(always)]
+    fn score<const D: usize>(&mut self, w: &Window<D>, _actual: u64) {
+        self.predictions.push(SharingBitmap::from_bits(F::fold(w)));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PredictionFunction;
+    use crate::reference;
     use csp_trace::{LineAddr, NodeId, Pc, SharingEvent};
 
     fn bm(nodes: &[u8]) -> SharingBitmap {
@@ -591,12 +802,12 @@ mod tests {
                 let scheme: Scheme = spec.parse().unwrap();
                 assert_eq!(
                     run_scheme_prepared(&prepared, &scheme),
-                    run_scheme(&trace, &scheme),
+                    reference::run_scheme(&trace, &scheme),
                     "{spec}"
                 );
                 assert_eq!(
                     predictions_for_prepared(&prepared, &scheme),
-                    predictions_for(&trace, &scheme),
+                    reference::predictions_for(&trace, &scheme),
                     "{spec} predictions"
                 );
             }
@@ -629,7 +840,7 @@ mod tests {
         for update in UpdateMode::ALL {
             assert_eq!(
                 run_history_family_prepared(&prepared, ix, update, 4),
-                run_history_family(&trace, ix, update, 4),
+                reference::run_history_family(&trace, ix, update, 4),
                 "{update}"
             );
         }

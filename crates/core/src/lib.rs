@@ -64,6 +64,7 @@ mod function;
 pub mod hash;
 mod index;
 mod prepared;
+pub mod reference;
 mod scheme;
 pub mod simd;
 pub mod sticky;

@@ -1,13 +1,14 @@
 //! The prepared-evaluation layer: per-trace resolution and per-index key
 //! streams, computed once and shared across every scheme of a sweep.
 //!
-//! The naive evaluation path ([`crate::engine::run_scheme`]) pays three
-//! per-call costs that a design-space sweep repeats hundreds of times per
-//! trace: it re-resolves the ground-truth actuals (a hash pass over the
-//! whole trace), recomputes `key_of`/`forward_key_of` for every event even
-//! when dozens of schemes share one [`IndexSpec`], and probes the predictor
-//! table twice per event. This module hoists the first two out of the
-//! per-event loop:
+//! Evaluating a scheme the plain way (as [`crate::reference`] does) pays
+//! three per-call costs that a design-space sweep repeats hundreds of
+//! times per trace: it re-resolves the ground-truth actuals (a hash pass
+//! over the whole trace), recomputes `key_of`/`forward_key_of` for every
+//! event even when dozens of schemes share one [`IndexSpec`], and probes a
+//! hashed predictor table per event. This module hoists the first two out
+//! of the per-event loop, and the dense slot ids let the scoring kernel
+//! drop the third:
 //!
 //! * [`KeyStream`] — the predictor keys (and forward keys) of every event
 //!   under one [`IndexSpec`], as flat `Vec<u64>` columns, plus a dense
@@ -26,11 +27,11 @@
 //! hashed; only unlinked events (the first write of a line inside a
 //! window, hand-built traces) hash it.
 //!
-//! The prepared engine entry points
-//! ([`crate::engine::run_scheme_prepared`],
-//! [`crate::engine::run_history_family_prepared`]) consume these columns
-//! and are bit-identical to the naive path — the equivalence suite in
-//! `tests/prepared_equivalence.rs` pins that.
+//! Every engine entry point consumes these columns: the history functions
+//! through the scoring kernel's slot windows, PAs through the key columns
+//! and a predictor table. [`crate::reference`] shares none of them, and
+//! the equivalence suite in `tests/prepared_equivalence.rs` pins the
+//! engine bit-identical to it.
 
 use crate::hash::FxBuildHasher;
 use crate::IndexSpec;

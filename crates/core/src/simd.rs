@@ -1,4 +1,4 @@
-//! SIMD batch scoring: the `simd` evaluation engine.
+//! SIMD popcount batches: the vector half of the history scorer.
 //!
 //! The scoring fold of every history scheme is pure bitmap algebra, and
 //! the confusion-matrix bookkeeping reduces to three exact popcount sums
@@ -10,26 +10,23 @@
 //! actual    += popcount(actual)
 //! ```
 //!
-//! from which the engine's one counter-algebra function recovers `fp`,
-//! `fn` and `tn`. Integer sums are order- and grouping-independent, so
-//! the decisions can be accumulated in batches of 8 with
-//! `core::arch::x86_64` vector popcounts and remain **bit-identical** to
-//! per-event [`ConfusionMatrix::record`] calls.
-//!
-//! [`run_scheme_simd`] feeds that batched accumulator from the engine's
-//! one scoring kernel, the same walk, window and depth dispatch the
-//! family evaluator ([`crate::engine::run_history_family_prepared`])
-//! runs: events replay in order against a flat array of shift windows
-//! indexed by the key stream's dense slot ids, so the hot loop does no
-//! hashing and no table probe at all. PAs schemes are control-flow-bound,
-//! not popcount-bound; they fall back to the prepared evaluator
-//! unchanged.
+//! from which the engine's counter algebra recovers `fp`, `fn` and `tn`.
+//! Integer sums are order- and grouping-independent, so the engine's
+//! batched accumulator hands 8 decisions at a time to this module, which
+//! sums them with `core::arch::x86_64` vector popcounts, and the matrix
+//! stays **bit-identical** to per-event [`ConfusionMatrix::record`]
+//! calls. The scoring kernel itself, the folds and the accumulators live
+//! in [`crate::engine`]; this module holds only the backend choice and
+//! the intrinsics.
 //!
 //! The vector path is selected at runtime with
 //! `is_x86_feature_detected!("avx2")`; every other build (or
 //! `CSP_SIMD=scalar` in the environment) takes the scalar-POPCNT
 //! fallback, which sums the same integers and therefore produces the
-//! same matrix.
+//! same matrix. Every single-scheme history evaluation
+//! ([`crate::engine::run_scheme`] and its callers) sums its batches here,
+//! so `CSP_SIMD=scalar` covers all of them; the family sweep's
+//! accumulator counts with scalar `count_ones` on every backend.
 //!
 //! This module is the only place in the crate allowed to use `unsafe`
 //! (the crate is `deny(unsafe_code)`): the intrinsics below are
@@ -37,12 +34,10 @@
 
 #![allow(unsafe_code)]
 
-use crate::engine::{matrix_from_sums, score_events, Accumulator, Window};
-use crate::{PredictionFunction, PreparedTrace, Scheme};
+use crate::{PreparedTrace, Scheme};
 use csp_metrics::ConfusionMatrix;
-use std::marker::PhantomData;
 
-/// Which accumulation path [`run_scheme_simd`] uses.
+/// Which popcount path the history scorer uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimdBackend {
     /// 256-bit AVX2 nibble-LUT popcounts, 8 decisions per flush.
@@ -79,129 +74,37 @@ pub fn detect_backend() -> SimdBackend {
     SimdBackend::Scalar
 }
 
-/// Runs `scheme` over an already-prepared trace with the batched SIMD
-/// scorer. Bit-identical to [`crate::engine::run_scheme_prepared`].
+/// Runs `scheme` over an already-prepared trace: the same call as
+/// [`crate::engine::run_scheme_prepared`], which scores every history
+/// scheme through the batched popcounts.
 pub fn run_scheme_simd(prepared: &PreparedTrace<'_>, scheme: &Scheme) -> ConfusionMatrix {
-    run_scheme_simd_with(prepared, scheme, detect_backend())
+    crate::engine::run_scheme_prepared(prepared, scheme)
 }
 
-/// [`run_scheme_simd`] with an explicit backend — the forced-scalar
-/// entry point equivalence tests pin against the vector path. Asking for
-/// [`SimdBackend::Avx2`] on a host without AVX2 runs the scalar path.
+/// [`crate::engine::run_scheme_prepared`] with an explicit backend — the
+/// forced-scalar entry point equivalence tests pin against the vector
+/// path. Asking for [`SimdBackend::Avx2`] on a host without AVX2 runs the
+/// scalar path; PAs schemes ignore the backend.
 pub fn run_scheme_simd_with(
     prepared: &PreparedTrace<'_>,
     scheme: &Scheme,
     backend: SimdBackend,
 ) -> ConfusionMatrix {
-    if !scheme.function.uses_history() {
-        // PAs: per-reader counter state, no bitmap fold to vectorize.
-        return crate::engine::run_scheme_prepared(prepared, scheme);
-    }
-    let depth = scheme.depth;
-    match scheme.function {
-        PredictionFunction::Last => batched::<LastFold>(prepared, scheme, depth, backend),
-        PredictionFunction::Union => batched::<UnionFold>(prepared, scheme, depth, backend),
-        PredictionFunction::Inter => batched::<InterFold>(prepared, scheme, depth, backend),
-        // Same effective ring depth the table constructor uses.
-        PredictionFunction::OverlapLast => batched::<OverlapFold>(prepared, scheme, 2, backend),
-        PredictionFunction::Pas => unreachable!("handled by the prepared fallback above"),
-    }
+    crate::engine::run_scheme_with(prepared, scheme, backend)
 }
 
-/// One history scheme through the scoring kernel and the batched
-/// accumulator, folding each `depth`-deep window with `F`.
-fn batched<F: Fold>(
-    prepared: &PreparedTrace<'_>,
-    scheme: &Scheme,
-    depth: usize,
-    backend: SimdBackend,
-) -> ConfusionMatrix {
-    let acc = BatchAcc::<F>::new(backend);
-    score_events(prepared, scheme.index, scheme.update, depth, acc).finish(prepared.nodes())
-}
+/// Decisions per popcount batch: two 256-bit vectors of packed bitmaps.
+pub(crate) const BATCH: usize = 8;
 
-/// One prediction function's fold over a shift window.
-trait Fold {
-    fn fold<const D: usize>(w: &Window<D>) -> u64;
-}
-
-/// `last`: the newest stored bitmap (zero while cold — a cold entry
-/// predicts nothing, and a stored empty feedback predicts empty either
-/// way).
-struct LastFold;
-impl Fold for LastFold {
-    #[inline(always)]
-    fn fold<const D: usize>(w: &Window<D>) -> u64 {
-        w.bits[0]
-    }
-}
-
-/// `union(D)`: OR over the window; zero padding is the fold identity.
-struct UnionFold;
-impl Fold for UnionFold {
-    #[inline(always)]
-    fn fold<const D: usize>(w: &Window<D>) -> u64 {
-        let mut acc = 0;
-        for d in 0..D {
-            acc |= w.bits[d];
-        }
-        acc
-    }
-}
-
-/// `inter(D)`: AND over the window; a not-yet-full history still holds a
-/// zero slot, so the fold is empty exactly when
-/// [`crate::HistoryEntry::inter`] abstains.
-struct InterFold;
-impl Fold for InterFold {
-    #[inline(always)]
-    fn fold<const D: usize>(w: &Window<D>) -> u64 {
-        let mut acc = w.bits[0];
-        for d in 1..D {
-            acc &= w.bits[d];
-        }
-        acc
-    }
-}
-
-/// `overlap-last` (always depth 2): predict the newest bitmap only if it
-/// overlaps the one before it. With fewer than two stored bitmaps the
-/// older slot is zero, the overlap test fails, and the fold abstains —
-/// matching [`crate::HistoryEntry::overlap_last`].
-struct OverlapFold;
-impl Fold for OverlapFold {
-    #[inline(always)]
-    fn fold<const D: usize>(w: &Window<D>) -> u64 {
-        if w.bits[0] & w.bits[1] != 0 {
-            w.bits[0]
-        } else {
-            0
-        }
-    }
-}
-
-/// Decisions per accumulator flush: two 256-bit vectors of packed
-/// bitmaps.
-const BATCH: usize = 8;
-
-/// The batched confusion accumulator: buffers `(F::fold(window), actual)`
-/// bit pairs and folds full batches into the three popcount sums.
-struct BatchAcc<F> {
-    pred: [u64; BATCH],
-    act: [u64; BATCH],
-    fill: usize,
-    tp: u64,
-    predicted: u64,
-    actual: u64,
-    scored: u64,
-    /// Whether full batches take [`avx2_batch`]: only ever `true` once
-    /// the host has passed the runtime AVX2 check.
+/// The popcount summer of one evaluation: AVX2 only once the host has
+/// passed the runtime check, scalar otherwise.
+#[derive(Clone, Copy)]
+pub(crate) struct Popcount {
     avx2: bool,
-    fold: PhantomData<F>,
 }
 
-impl<F: Fold> BatchAcc<F> {
-    fn new(backend: SimdBackend) -> Self {
+impl Popcount {
+    pub(crate) fn new(backend: SimdBackend) -> Self {
         // `Avx2` is a public variant any caller can name, so confirm the
         // host runs it here, once, rather than trust the caller.
         #[cfg(target_arch = "x86_64")]
@@ -211,57 +114,26 @@ impl<F: Fold> BatchAcc<F> {
             let _ = backend;
             false
         };
-        BatchAcc {
-            pred: [0; BATCH],
-            act: [0; BATCH],
-            fill: 0,
-            tp: 0,
-            predicted: 0,
-            actual: 0,
-            scored: 0,
-            avx2,
-            fold: PhantomData,
-        }
+        Popcount { avx2 }
     }
 
+    /// The exact `(Σ popcount(p & a), Σ popcount(p), Σ popcount(a))`
+    /// over the [`BATCH`] lanes of `pred` and `act`.
     #[inline]
-    fn flush(&mut self) {
-        let n = self.fill;
-        self.fill = 0;
-        self.scored += n as u64;
+    pub(crate) fn sums(self, pred: &[u64; BATCH], act: &[u64; BATCH]) -> (u64, u64, u64) {
         #[cfg(target_arch = "x86_64")]
-        if self.avx2 && n == BATCH {
+        if self.avx2 {
             // SAFETY: `avx2` is only set by `new` after
             // `is_x86_feature_detected!("avx2")` passed on this host.
-            let (tp, p, a) = unsafe { avx2_batch(&self.pred, &self.act) };
-            self.tp += tp;
-            self.predicted += p;
-            self.actual += a;
-            return;
+            return unsafe { avx2_batch(pred, act) };
         }
-        for i in 0..n {
-            let (p, a) = (self.pred[i], self.act[i]);
-            self.tp += (p & a).count_ones() as u64;
-            self.predicted += p.count_ones() as u64;
-            self.actual += a.count_ones() as u64;
+        let mut sums = (0, 0, 0);
+        for (&p, &a) in pred.iter().zip(act) {
+            sums.0 += u64::from((p & a).count_ones());
+            sums.1 += u64::from(p.count_ones());
+            sums.2 += u64::from(a.count_ones());
         }
-    }
-
-    fn finish(mut self, nodes: usize) -> ConfusionMatrix {
-        self.flush();
-        matrix_from_sums(self.tp, self.predicted, self.actual, self.scored, nodes)
-    }
-}
-
-impl<F: Fold> Accumulator for BatchAcc<F> {
-    #[inline(always)]
-    fn score<const D: usize>(&mut self, w: &Window<D>, actual: u64) {
-        self.pred[self.fill] = F::fold(w);
-        self.act[self.fill] = actual;
-        self.fill += 1;
-        if self.fill == BATCH {
-            self.flush();
-        }
+        sums
     }
 }
 
@@ -337,7 +209,7 @@ unsafe fn hsum_epi64(v: core::arch::x86_64::__m256i) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_scheme;
+    use crate::reference::run_scheme;
     use csp_trace::{LineAddr, NodeId, Pc, SharingBitmap, SharingEvent, Trace};
 
     fn bm(nodes: &[u8]) -> SharingBitmap {
@@ -422,6 +294,40 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn both_backends_sum_the_same_popcounts() {
+        // A xorshift stream: dense, sparse and all-ones lanes alike.
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for round in 0..64 {
+            let mut pred = [0u64; BATCH];
+            let mut act = [0u64; BATCH];
+            for lane in 0..BATCH {
+                pred[lane] = if round % 3 == 0 {
+                    next() & next()
+                } else {
+                    next()
+                };
+                act[lane] = if round == 5 { u64::MAX } else { next() };
+            }
+            let mut want = (0, 0, 0);
+            for (&p, &a) in pred.iter().zip(&act) {
+                want.0 += u64::from((p & a).count_ones());
+                want.1 += u64::from(p.count_ones());
+                want.2 += u64::from(a.count_ones());
+            }
+            for backend in testable_backends() {
+                let got = Popcount::new(backend).sums(&pred, &act);
+                assert_eq!(got, want, "round {round} via {}", backend.name());
             }
         }
     }

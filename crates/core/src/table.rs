@@ -261,54 +261,6 @@ impl PredictorTable {
         }
     }
 
-    /// Delivers `feedback` to `key`'s entry and returns a view of the
-    /// updated history — the one-probe form of `update` +
-    /// [`history`](Self::history) used by the family evaluator. Returns
-    /// `None` on PAs storage.
-    #[inline]
-    pub fn update_and_history(
-        &mut self,
-        key: u64,
-        feedback: SharingBitmap,
-    ) -> Option<&HistoryEntry> {
-        match &mut self.storage {
-            Storage::Arena(arena) => {
-                let h = arena.entry_mut(key);
-                h.push(feedback);
-                Some(h)
-            }
-            Storage::Hashed(map) => {
-                let h = map
-                    .entry(key)
-                    .or_insert_with(|| HistoryEntry::new(self.depth));
-                h.push(feedback);
-                Some(h)
-            }
-            Storage::Pas(map) => {
-                map.entry(key)
-                    .or_insert_with(|| PasEntry::new(self.nodes, self.depth))
-                    .update(feedback, self.nodes);
-                None
-            }
-        }
-    }
-
-    /// Mutable access to `key`'s history entry, creating a cold one if
-    /// absent — the family evaluator's one-probe score-then-train step
-    /// for `ordered` update (a cold entry scores exactly like an absent
-    /// one: it holds no history). Returns `None` on PAs storage.
-    #[inline]
-    pub fn history_mut(&mut self, key: u64) -> Option<&mut HistoryEntry> {
-        match &mut self.storage {
-            Storage::Arena(arena) => Some(arena.entry_mut(key)),
-            Storage::Hashed(map) => Some(
-                map.entry(key)
-                    .or_insert_with(|| HistoryEntry::new(self.depth)),
-            ),
-            Storage::Pas(_) => None,
-        }
-    }
-
     /// Whether this table stores ring-history entries (`true`) or
     /// two-level PAs entries (`false`).
     pub fn uses_history(&self) -> bool {
@@ -721,26 +673,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn update_and_history_views_the_updated_entry() {
-        let mut t = table("union(pid)2");
-        let h = t.update_and_history(7, bm(&[1])).expect("history storage");
-        assert_eq!(h.last(), bm(&[1]));
-        assert!(table("pas(pid)2").update_and_history(0, bm(&[1])).is_none());
-    }
-
-    #[test]
-    fn history_mut_creates_cold_entries_that_score_like_absent_ones() {
-        let mut t = table("inter(pid)2");
-        {
-            let h = t.history_mut(3).expect("history storage");
-            assert!(h.is_empty(), "fresh entry holds no history");
-        }
-        // The cold entry predicts exactly what the absent entry did.
-        assert!(t.predict(3).is_empty());
-        assert!(table("pas(pid)2").history_mut(0).is_none());
     }
 
     /// The arena backend must be bit-identical to the hashed reference

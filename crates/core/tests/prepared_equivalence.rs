@@ -1,16 +1,18 @@
 //! Property-style equivalence suite: the prepared evaluation path must be
-//! bit-identical to the naive one.
+//! bit-identical to the reference evaluator.
 //!
 //! The prepared engine ([`engine::run_scheme_prepared`] and friends) walks
-//! flat resolved columns and shared key streams, and touches predictor
-//! tables through the one-probe entry API. None of that may change a
-//! single confusion-matrix count relative to the naive spelling: these
-//! properties pin that across random small traces, all three update
-//! modes, and both storage families (history and PAs).
+//! flat resolved columns and shared key streams: history functions through
+//! the dense-slot scoring kernel, PAs through a one-probe predictor table.
+//! None of that may change a single confusion-matrix count or prediction
+//! relative to [`reference`], which resolves per call, derives keys per
+//! event and probes a hashed table: these properties pin that across
+//! random small traces, all three update modes, and both storage families
+//! (history and PAs).
 
 use csp_core::{
-    engine, run_scheme_simd, run_scheme_simd_with, IndexSpec, PredictionFunction, PredictorTable,
-    PreparedTrace, Scheme, SimdBackend, UpdateMode, MAX_DEPTH,
+    engine, reference, run_scheme_simd, run_scheme_simd_with, IndexSpec, PredictionFunction,
+    PredictorTable, PreparedTrace, Scheme, SimdBackend, UpdateMode, MAX_DEPTH,
 };
 use csp_trace::{LineAddr, NodeId, Pc, SharingBitmap, SharingEvent, Trace};
 use proptest::collection::vec;
@@ -88,7 +90,7 @@ fn scheme_points(index: IndexSpec, update: UpdateMode) -> Vec<Scheme> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `run_scheme_prepared` == `run_scheme` for every update mode and
+    /// `run_scheme_prepared` == the reference for every update mode and
     /// both storage families, on random consistent traces.
     #[test]
     fn prepared_scheme_matches_naive(
@@ -101,7 +103,7 @@ proptest! {
                 for scheme in scheme_points(index, update) {
                     prop_assert_eq!(
                         engine::run_scheme_prepared(&prepared, &scheme),
-                        engine::run_scheme(&trace, &scheme),
+                        reference::run_scheme(&trace, &scheme),
                         "scheme {}", scheme
                     );
                 }
@@ -121,7 +123,7 @@ proptest! {
         for index in index_points() {
             for update in UpdateMode::ALL {
                 let fam_p = engine::run_history_family_prepared(&prepared, index, update, max_depth);
-                let fam_n = engine::run_history_family(&trace, index, update, max_depth);
+                let fam_n = reference::run_history_family(&trace, index, update, max_depth);
                 prop_assert_eq!(&fam_p, &fam_n, "family {index} {update} depth {max_depth}");
                 // And the family agrees with individual prepared runs.
                 for d in 1..=max_depth {
@@ -134,9 +136,9 @@ proptest! {
         }
     }
 
-    /// Per-event predictions (not just aggregate matrices) are identical,
-    /// so downstream consumers (forwarding estimator, paired comparison,
-    /// online replay) see the same stream.
+    /// Per-event predictions (not just aggregate matrices) are identical
+    /// for every function, so downstream consumers (forwarding estimator,
+    /// paired comparison, online replay) see the same stream.
     #[test]
     fn prepared_predictions_match_naive(
         raw in vec((0u64..6, any::<u8>(), any::<u32>(), any::<u8>(), any::<u8>()), 1..30),
@@ -144,23 +146,19 @@ proptest! {
         let trace = build_trace(&raw);
         let prepared = PreparedTrace::new(&trace);
         for update in UpdateMode::ALL {
-            let scheme = Scheme::new(
-                PredictionFunction::Union,
-                IndexSpec::new(true, 2, false, 2),
-                2,
-                update,
-            );
-            prop_assert_eq!(
-                engine::predictions_for_prepared(&prepared, &scheme),
-                engine::predictions_for(&trace, &scheme)
-            );
+            for scheme in scheme_points(IndexSpec::new(true, 2, false, 2), update) {
+                prop_assert_eq!(
+                    engine::predictions_for_prepared(&prepared, &scheme),
+                    reference::predictions_for(&trace, &scheme),
+                    "scheme {}", scheme
+                );
+            }
         }
     }
 
-    /// The SIMD engine (arena tables, dense slot windows, batched
-    /// popcount accumulation, runtime-dispatched backend) is
-    /// bit-identical to naive across every scheme family, update mode,
-    /// and index point, on random consistent traces.
+    /// The runtime-dispatched popcount backend is bit-identical to the
+    /// reference across every scheme family, update mode, and index
+    /// point, on random consistent traces.
     #[test]
     fn simd_scheme_matches_naive(
         raw in vec((0u64..4, any::<u8>(), any::<u32>(), any::<u8>(), any::<u8>()), 1..40),
@@ -172,7 +170,7 @@ proptest! {
                 for scheme in scheme_points(index, update) {
                     prop_assert_eq!(
                         run_scheme_simd(&prepared, &scheme),
-                        engine::run_scheme(&trace, &scheme),
+                        reference::run_scheme(&trace, &scheme),
                         "scheme {}", scheme
                     );
                 }
@@ -193,7 +191,7 @@ proptest! {
             for scheme in scheme_points(IndexSpec::new(true, 2, false, 2), update) {
                 prop_assert_eq!(
                     run_scheme_simd_with(&prepared, &scheme, SimdBackend::Scalar),
-                    engine::run_scheme(&trace, &scheme),
+                    reference::run_scheme(&trace, &scheme),
                     "scheme {}", scheme
                 );
             }
@@ -240,7 +238,7 @@ proptest! {
             for scheme in scheme_points(IndexSpec::new(true, 2, true, 2), update) {
                 prop_assert_eq!(
                     run_scheme_simd(&prepared, &scheme),
-                    engine::run_scheme(&t, &scheme),
+                    reference::run_scheme(&t, &scheme),
                     "scheme {} nodes {}", scheme, nodes
                 );
             }
@@ -314,7 +312,8 @@ proptest! {
         }
     }
 
-    /// Paired comparisons ride the same prepared path without drift.
+    /// Paired comparisons ride the same prepared path without drift: the
+    /// counts match ones tallied from the reference's predictions.
     #[test]
     fn prepared_compare_matches_naive(
         raw in vec((0u64..4, any::<u8>(), any::<u32>(), any::<u8>(), any::<u8>()), 1..30),
@@ -323,13 +322,39 @@ proptest! {
         let prepared = PreparedTrace::new(&trace);
         let a = Scheme::new(PredictionFunction::Last, IndexSpec::new(true, 2, false, 0), 1, UpdateMode::Direct);
         let b = Scheme::new(PredictionFunction::Pas, IndexSpec::new(false, 0, false, 3), 2, UpdateMode::Forwarded);
-        let naive = engine::compare_schemes(&trace, &a, &b);
+        let naive = reference_compare(&trace, &a, &b);
         let fast = engine::compare_schemes_prepared(&prepared, &a, &b);
         prop_assert_eq!(naive.both_correct, fast.both_correct);
         prop_assert_eq!(naive.both_wrong, fast.both_wrong);
         prop_assert_eq!(naive.only_a, fast.only_a);
         prop_assert_eq!(naive.only_b, fast.only_b);
     }
+}
+
+/// The paired counts of `a` against `b`, tallied per node bit from the
+/// reference's predictions and the trace's resolved actuals.
+fn reference_compare(
+    trace: &Trace,
+    a: &Scheme,
+    b: &Scheme,
+) -> csp_metrics::compare::PairedComparison {
+    let preds_a = reference::predictions_for(trace, a);
+    let preds_b = reference::predictions_for(trace, b);
+    let mut paired = csp_metrics::compare::PairedComparison::default();
+    for ((pa, pb), actual) in preds_a.iter().zip(&preds_b).zip(trace.resolve_actuals()) {
+        for node in 0..trace.nodes() {
+            let node = NodeId(node as u8);
+            let right_a = pa.contains(node) == actual.contains(node);
+            let right_b = pb.contains(node) == actual.contains(node);
+            match (right_a, right_b) {
+                (true, true) => paired.both_correct += 1,
+                (false, false) => paired.both_wrong += 1,
+                (true, false) => paired.only_a += 1,
+                (false, true) => paired.only_b += 1,
+            }
+        }
+    }
+    paired
 }
 
 /// A deterministic exhaustive sweep on one fixed trace: every function x
@@ -355,8 +380,13 @@ fn exhaustive_fixed_trace_sweep() {
             for scheme in scheme_points(index, update) {
                 assert_eq!(
                     engine::run_scheme_prepared(&prepared, &scheme),
-                    engine::run_scheme(&trace, &scheme),
+                    reference::run_scheme(&trace, &scheme),
                     "scheme {scheme}"
+                );
+                assert_eq!(
+                    engine::predictions_for_prepared(&prepared, &scheme),
+                    reference::predictions_for(&trace, &scheme),
+                    "predictions {scheme}"
                 );
             }
         }

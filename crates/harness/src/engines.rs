@@ -1,15 +1,18 @@
 //! Execution-engine adapters for the benchmark barometer (`csp-bar`).
 //!
-//! The repo grew several distinct ways to score a scheme over a trace:
-//! the frozen naive evaluator (per-call resolution, hashed tables), the
-//! prepared single-pass path (shared resolutions and key streams), its
-//! SIMD-batched sibling (arena tables, vectorized confusion counting),
-//! and the sharded online serving engine (per-key routing over worker
-//! threads). This module puts them behind one [`Engine`] trait and a
-//! data-driven registry ([`ENGINE_SPECS`]) so the barometer can
+//! Three code paths score a scheme over a trace: the reference evaluator
+//! ([`csp_core::reference`]: per-call resolution, per-event keys, hashed
+//! tables), the prepared offline engine (shared resolutions and key
+//! streams; one dense-slot kernel for history functions, `drive` for
+//! PAs), and the sharded online serving engine (per-key routing over
+//! worker threads). This module puts them behind one [`Engine`] trait and
+//! a data-driven registry ([`ENGINE_SPECS`]) so the barometer can
 //! enumerate a (workload x scheme x engine) matrix declaratively — and,
 //! crucially, so every engine's screening statistics can be
-//! cross-checked for bit-identity before any timing number is trusted.
+//! cross-checked for bit-identity against the reference before any
+//! timing number is trusted. Because the reference shares no code with
+//! the engines it checks, its speed does not move when theirs does: it is
+//! a fixed yardstick for the `× vs naive` ratios.
 //!
 //! Engines here evaluate one *cell* — a `(benchmark trace, scheme)`
 //! pair — to a [`ConfusionMatrix`]. Timing policy (warmup passes, timed
@@ -20,8 +23,8 @@
 //! streams are its architecture; the sharded engine's persistent worker
 //! pool is its architecture too — see [`ShardedServeEngine`]).
 
-use csp_core::engine::{run_scheme, run_scheme_prepared};
-use csp_core::{run_scheme_simd, PreparedTrace, Scheme};
+use csp_core::engine::run_scheme_prepared;
+use csp_core::{reference, PreparedTrace, Scheme};
 use csp_metrics::ConfusionMatrix;
 use csp_serve::ShardPool;
 use csp_workloads::BenchmarkTrace;
@@ -51,8 +54,7 @@ impl EngineCell<'_> {
 ///
 /// Implementations must be deterministic: two calls on the same cell
 /// return bit-identical confusion matrices. [`cross_check`] relies on
-/// this to promote the naive evaluator into an equivalence oracle for
-/// every other engine.
+/// this to hold every engine to the reference evaluator.
 pub trait Engine: Sync {
     /// Stable lowercase name, used in definitions files and records.
     fn name(&self) -> &'static str;
@@ -60,8 +62,9 @@ pub trait Engine: Sync {
     fn eval(&self, cell: &EngineCell<'_>) -> ConfusionMatrix;
 }
 
-/// The frozen-naive reference evaluator: per-call ground-truth
-/// resolution, per-event key derivation, hashed create-on-update tables.
+/// The reference evaluator ([`csp_core::reference`]): per-call
+/// ground-truth resolution, per-event key derivation, hashed
+/// create-on-update tables probed separately to update and to predict.
 pub struct NaiveEngine;
 
 impl Engine for NaiveEngine {
@@ -70,12 +73,14 @@ impl Engine for NaiveEngine {
     }
 
     fn eval(&self, cell: &EngineCell<'_>) -> ConfusionMatrix {
-        run_scheme(&cell.bench.trace, &cell.scheme)
+        reference::run_scheme(&cell.bench.trace, &cell.scheme)
     }
 }
 
-/// The prepared single-pass path (PR 3): resolutions and key streams
-/// shared through [`PreparedTrace`], one-probe slot-indexed tables.
+/// The prepared offline engine: resolutions and key streams shared
+/// through [`PreparedTrace`]; history functions scored by the dense-slot
+/// kernel with batched popcounts (AVX2 when the host has it), PAs by a
+/// one-probe predictor table.
 pub struct PreparedEngine;
 
 impl Engine for PreparedEngine {
@@ -85,23 +90,6 @@ impl Engine for PreparedEngine {
 
     fn eval(&self, cell: &EngineCell<'_>) -> ConfusionMatrix {
         run_scheme_prepared(cell.prepared, &cell.scheme)
-    }
-}
-
-/// The SIMD-batched prepared path: history windows indexed by the key
-/// stream's dense slot ids, and confusion counts accumulated in 8-wide
-/// popcount batches (AVX2 when the host has it, bit-identical scalar
-/// fallback otherwise — see [`csp_core::simd`]). PAs schemes fall back to
-/// the prepared path's arena tables.
-pub struct SimdEngine;
-
-impl Engine for SimdEngine {
-    fn name(&self) -> &'static str {
-        "simd"
-    }
-
-    fn eval(&self, cell: &EngineCell<'_>) -> ConfusionMatrix {
-        run_scheme_simd(cell.prepared, &cell.scheme)
     }
 }
 
@@ -150,7 +138,7 @@ pub struct EngineSpec {
 /// it is the ratio denominator). Adding an engine means adding a row
 /// here; name lookup, [`ENGINE_NAMES`], and the barometer's validation
 /// all follow from it.
-pub const ENGINE_SPECS: [EngineSpec; 4] = [
+pub const ENGINE_SPECS: [EngineSpec; 3] = [
     EngineSpec {
         name: "naive",
         build: |_| Box::new(NaiveEngine),
@@ -158,10 +146,6 @@ pub const ENGINE_SPECS: [EngineSpec; 4] = [
     EngineSpec {
         name: "prepared",
         build: |_| Box::new(PreparedEngine),
-    },
-    EngineSpec {
-        name: "simd",
-        build: |_| Box::new(SimdEngine),
     },
     EngineSpec {
         name: "sharded",
@@ -173,7 +157,7 @@ pub const ENGINE_SPECS: [EngineSpec; 4] = [
 /// order. (A const mirror of [`ENGINE_SPECS`] so definitions-file
 /// validation can borrow it without building adapters; a test pins the
 /// two in sync.)
-pub const ENGINE_NAMES: [&str; 4] = ["naive", "prepared", "simd", "sharded"];
+pub const ENGINE_NAMES: [&str; 3] = ["naive", "prepared", "sharded"];
 
 /// Constructs an engine adapter by its definitions-file name.
 pub fn engine_by_name(name: &str, shards: usize) -> Option<Box<dyn Engine>> {
@@ -263,6 +247,9 @@ mod tests {
             "last(pid+pc8)1[direct]",
             "union(pid+pc8)2[forwarded]",
             "union(dir+add8)2[ordered]",
+            "inter(pc8+add8)4[direct]",
+            "overlap-last(pid+pc8)[forwarded]",
+            "pas(add16)2[ordered]",
         ];
         for bench in suite.traces() {
             let prepared = PreparedTrace::new(&bench.trace);
@@ -274,7 +261,7 @@ mod tests {
                     scheme,
                 };
                 let agreed = cross_check(&engines, &cell).expect("engines agree");
-                assert_eq!(agreed, run_scheme(&bench.trace, &scheme));
+                assert_eq!(agreed, reference::run_scheme(&bench.trace, &scheme));
                 assert!(cell.events() > 0);
             }
         }
@@ -313,7 +300,10 @@ mod tests {
                     prepared: &prepared,
                     scheme: s.parse().expect("notation"),
                 };
-                assert_eq!(engine.eval(&cell), run_scheme(&bench.trace, &cell.scheme));
+                assert_eq!(
+                    engine.eval(&cell),
+                    reference::run_scheme(&bench.trace, &cell.scheme)
+                );
             }
         }
     }

@@ -368,8 +368,8 @@ where
 }
 
 /// Evaluates one scheme over every benchmark (sequentially, preparing
-/// each trace per call — the naive reference path; sweeps should prepare
-/// once via [`PreparedSuite`] / [`evaluate_scheme_prepared`]).
+/// each trace per call; sweeps should prepare once via [`PreparedSuite`] /
+/// [`evaluate_scheme_prepared`]).
 pub fn evaluate_scheme(suite: &Suite, scheme: &Scheme) -> SchemeStats {
     let per_benchmark = suite
         .traces

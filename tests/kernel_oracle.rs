@@ -1,13 +1,16 @@
-//! The scoring kernel against an oracle that shares no code with it.
+//! The offline engine against an oracle that shares no code with it.
 //!
-//! Both accumulators of `csp_core`'s one scoring kernel — the per-depth
-//! family counters behind `run_history_family_prepared` and the batched
-//! popcount accumulator behind `run_scheme_simd_with` — walk a
-//! `KeyStream`'s dense slot ids. The event-order engine reads the same
-//! stream, so agreeing with it cannot catch a wrong stream. The oracle
-//! here, `family_reference`, resolves the trace on every call, derives
-//! each event's keys with `key_of`/`forward_key_of`, and keeps its
-//! entries in a hashed predictor table.
+//! Every history function (`last`, `union`, `inter`, `overlap-last`) is
+//! scored by one kernel that walks a `KeyStream`'s dense slot ids,
+//! through three accumulators: the per-depth family counters behind
+//! `run_history_family_prepared`, the batched popcount accumulator behind
+//! `run_scheme_prepared` / `run_scheme_simd_with`, and the visiting
+//! accumulator behind `predictions_for_prepared`. PAs runs on the
+//! table-backed `drive`. Agreeing with each other cannot catch a wrong
+//! stream or a wrong window, since they all read the same ones. The
+//! oracle here, `csp_core::reference`, resolves the trace on every call,
+//! derives each event's keys with `key_of`/`forward_key_of`, and keeps
+//! its entries in a hashed predictor table.
 //!
 //! Inputs: all seven workloads at small scale, whole and windowed, the
 //! Figure 6 index grid, all three update modes, every history depth. In
@@ -15,52 +18,82 @@
 //! it, so it has no forward source: its forward slot comes from hashing
 //! `forward_key_of`, not from copying the source's slot.
 
-use csp::core::engine::run_history_family_prepared;
+use csp::core::engine::{predictions_for_prepared, run_history_family_prepared};
 use csp::core::{
-    run_scheme_simd_with, PredictionFunction, PreparedTrace, Scheme, SimdBackend, UpdateMode,
-    MAX_DEPTH,
+    reference, run_scheme_simd_with, IndexSpec, PredictionFunction, PreparedTrace, Scheme,
+    SimdBackend, UpdateMode, MAX_DEPTH,
 };
-use csp::harness::bench_engine::family_reference;
 use csp::harness::space::figure6_index_grid;
 use csp::harness::Suite;
 use csp::trace::{ResolvedTrace, Trace};
 
-/// Checks the family and both simd backends against the reference on
-/// every Figure 6 index and update mode of `trace`.
+/// Every prediction function at one `(index, update)` point: `last`,
+/// `overlap-last`, `union` and `inter` at every depth, and PAs.
+fn every_function(index: IndexSpec, update: UpdateMode) -> Vec<Scheme> {
+    let mut out = vec![
+        Scheme::new(PredictionFunction::Last, index, 1, update),
+        Scheme::new(PredictionFunction::OverlapLast, index, 1, update),
+        Scheme::new(PredictionFunction::Pas, index, 2, update),
+    ];
+    for depth in 1..=MAX_DEPTH {
+        out.push(Scheme::new(PredictionFunction::Union, index, depth, update));
+        out.push(Scheme::new(PredictionFunction::Inter, index, depth, update));
+    }
+    out
+}
+
+/// Checks the family, both popcount backends and the per-event
+/// predictions against the reference on every Figure 6 index and update
+/// mode of `trace`.
 fn assert_kernel_matches(name: &str, trace: &Trace) {
     let prepared = PreparedTrace::new(trace);
     for index in figure6_index_grid() {
         for update in UpdateMode::ALL {
             let cell = format!("{name} ({index}) [{update}]");
-            let expected = family_reference(trace, index, update, MAX_DEPTH);
+            let expected = reference::run_history_family(trace, index, update, MAX_DEPTH);
             assert_eq!(
                 run_history_family_prepared(&prepared, index, update, MAX_DEPTH),
                 expected,
                 "family: {cell}"
             );
+            let last = Scheme::new(PredictionFunction::Last, index, 1, update);
+            let overlap = Scheme::new(PredictionFunction::OverlapLast, index, 1, update);
+            let expected_last = reference::run_scheme(trace, &last);
+            let expected_overlap = reference::run_scheme(trace, &overlap);
             // `Avx2` on a host without it must downgrade, so both
             // backends are checked everywhere.
             for backend in [SimdBackend::Scalar, SimdBackend::Avx2] {
-                let simd = |function, depth| {
-                    let scheme = Scheme::new(function, index, depth, update);
-                    run_scheme_simd_with(&prepared, &scheme, backend)
-                };
+                let simd = |scheme: &Scheme| run_scheme_simd_with(&prepared, scheme, backend);
                 let via = backend.name();
+                assert_eq!(simd(&last), expected_last, "last via {via}: {cell}");
                 assert_eq!(
-                    simd(PredictionFunction::Last, 1),
-                    expected.union[0],
-                    "last via {via}: {cell}"
+                    simd(&overlap),
+                    expected_overlap,
+                    "overlap-last via {via}: {cell}"
                 );
                 for depth in 1..=MAX_DEPTH {
+                    let union = Scheme::new(PredictionFunction::Union, index, depth, update);
+                    let inter = Scheme::new(PredictionFunction::Inter, index, depth, update);
                     assert_eq!(
-                        simd(PredictionFunction::Union, depth),
+                        simd(&union),
                         expected.union[depth - 1],
                         "union{depth} via {via}: {cell}"
                     );
                     assert_eq!(
-                        simd(PredictionFunction::Inter, depth),
+                        simd(&inter),
                         expected.inter[depth - 1],
                         "inter{depth} via {via}: {cell}"
+                    );
+                }
+            }
+            for scheme in every_function(index, update) {
+                let got = predictions_for_prepared(&prepared, &scheme);
+                let want = reference::predictions_for(trace, &scheme);
+                assert_eq!(got.len(), want.len(), "predictions of {scheme}: {name}");
+                if let Some(e) = (0..got.len()).find(|&e| got[e] != want[e]) {
+                    panic!(
+                        "predictions of {scheme}: {name}: event {e} got {:?}, reference {:?}",
+                        got[e], want[e]
                     );
                 }
             }
